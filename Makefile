@@ -25,9 +25,11 @@ ESCAPE_GO_VERSION ?= go1.24
 # Fuzz targets guarding the urlx normalization contract; go test only
 # accepts one -fuzz pattern per invocation, so the smoke loops. The root
 # package adds the snapshot-equivalence differential (classifier vs
-# compiled snapshot, every compiled family, bit-identical), and the flat
+# compiled snapshot, every compiled family, bit-identical), the flat
 # package fuzzes the v3 container parser (bad offsets, overlapping
-# sections, oversize lengths must reject cleanly, never read OOB).
+# sections, oversize lengths must reject cleanly, never read OOB), and
+# the modelfile package fuzzes the one model-file decoder (exactly one
+# model or an error, never a panic, verified snapshots classify).
 URLX_FUZZ := FuzzParseConsistency FuzzNormalizeInto FuzzHostAgainstNetURL
 
 # The committed public API surface: declaration lines distilled from
@@ -123,6 +125,7 @@ fuzz-smoke:
 	done
 	$(GO) test . -run NONE -fuzz FuzzSnapshotEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/modelfile/flat/ -run NONE -fuzz FuzzFlatSections -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/modelfile/ -run NONE -fuzz FuzzReadBytes -fuzztime $(FUZZTIME)
 
 api:
 	@mkdir -p api

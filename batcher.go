@@ -98,12 +98,8 @@ func enginePredictor(m Model) serve.Predictor {
 	}
 }
 
-// modelPredictor adapts a foreign Model to the serving interfaces.
+// modelPredictor adapts a foreign Model to the serving contract.
 type modelPredictor struct{ m Model }
-
-func (p modelPredictor) Predictions(rawURL string) []Prediction {
-	return p.m.Classify(rawURL).Predictions()
-}
 
 func (p modelPredictor) Scores(rawURL string) [langid.NumLanguages]float64 {
 	return p.m.Classify(rawURL).Scores()

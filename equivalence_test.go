@@ -1,12 +1,11 @@
 package urllangid_test
 
-// The golden old-API/new-API equivalence matrix: for every Algorithm ×
-// FeatureSet that trains from the tiny fixture corpus (plus the
-// training-free baselines), the deprecated per-URL methods and the
-// Result accessors must be bit-identical — on the Classifier, on its
-// compiled Snapshot, and on both after a Save/Open round-trip. This is
-// the contract that lets current callers migrate method-by-method
-// without a single score changing.
+// The golden equivalence matrix: for every Algorithm × FeatureSet that
+// trains from the tiny fixture corpus (plus the training-free
+// baselines), every Result accessor must agree with the score vector,
+// ClassifyBatch must answer exactly as Classify does, and the
+// Classifier, its compiled Snapshot, and both after a Save/Open
+// round-trip must classify bit-identically.
 
 import (
 	"bytes"
@@ -35,58 +34,57 @@ var equivalenceURLs = []string{
 	"::::",
 }
 
-// assertOldNewEquivalent checks every deprecated method against its
-// Result accessor on one model.
-func assertOldNewEquivalent(t *testing.T, label string, m urllangid.Model) {
+// assertResultConsistent checks, on one model, that every Result
+// accessor agrees with the score vector — decision bits are the score
+// signs, Predictions, Languages and Best expand them — and that
+// ClassifyBatch answers exactly as Classify does.
+func assertResultConsistent(t *testing.T, label string, m urllangid.Model) {
 	t.Helper()
-	type oldAPI interface {
-		Predictions(string) []urllangid.Prediction
-		Languages(string) []urllangid.Language
-		Is(string, urllangid.Language) bool
-		Best(string) (urllangid.Language, float64, bool)
-		PredictionsBatch([]string) [][]urllangid.Prediction
-	}
-	old, ok := m.(oldAPI)
-	if !ok {
-		t.Fatalf("%s: model lost its deprecated compatibility surface", label)
-	}
 	for _, u := range equivalenceURLs {
 		r := m.Classify(u)
-		if got, want := r.Predictions(), old.Predictions(u); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Predictions(%q): new %v, old %v", label, u, got, want)
-		}
-		if got, want := r.Languages(), old.Languages(u); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Languages(%q): new %v, old %v", label, u, got, want)
-		}
-		gl, gs, ga := r.Best()
-		wl, ws, wa := old.Best(u)
-		if gl != wl || gs != ws || ga != wa {
-			t.Fatalf("%s: Best(%q): new %v/%v/%v, old %v/%v/%v", label, u, gl, gs, ga, wl, ws, wa)
-		}
-		for li := 0; li <= urllangid.NumLanguages; li++ { // one past the end: invalid
+		scores := r.Scores()
+		var claimed []urllangid.Language
+		for li, s := range scores {
 			l := urllangid.Language(li)
-			if got, want := r.Is(l), old.Is(u, l); got != want {
-				t.Fatalf("%s: Is(%q, %v): new %v, old %v", label, u, l, got, want)
+			if r.Is(l) != (s >= 0) {
+				t.Fatalf("%s: %q decision bit for %v disagrees with score %v", label, u, l, s)
+			}
+			if r.Is(l) {
+				claimed = append(claimed, l)
 			}
 		}
-		// Decision bits must agree with score signs.
-		for li, s := range r.Scores() {
-			if r.Is(urllangid.Language(li)) != (s >= 0) {
-				t.Fatalf("%s: %q decision bit disagrees with score %v", label, u, s)
+		if r.Is(urllangid.Language(urllangid.NumLanguages)) {
+			t.Fatalf("%s: %q claims an invalid language", label, u)
+		}
+		if got := r.Languages(); len(got) != len(claimed) || (len(got) > 0 && !reflect.DeepEqual(got, claimed)) {
+			t.Fatalf("%s: Languages(%q) = %v, decision bits claim %v", label, u, got, claimed)
+		}
+		preds := r.Predictions()
+		if len(preds) != urllangid.NumLanguages {
+			t.Fatalf("%s: Predictions(%q) has %d entries", label, u, len(preds))
+		}
+		for li, p := range preds {
+			if p.Lang != urllangid.Language(li) || p.Score != scores[li] || p.Positive != r.Is(p.Lang) {
+				t.Fatalf("%s: Predictions(%q)[%d] = %+v, scores %v", label, u, li, p, scores)
+			}
+		}
+		best, score, any := r.Best()
+		if score != scores[best] || any != (len(claimed) > 0) {
+			t.Fatalf("%s: Best(%q) = %v/%v/%v, scores %v", label, u, best, score, any, scores)
+		}
+		for _, s := range scores {
+			if s > score {
+				t.Fatalf("%s: Best(%q) score %v is not the top of %v", label, u, score, scores)
 			}
 		}
 	}
-	newBatch := m.ClassifyBatch(equivalenceURLs)
-	oldBatch := old.PredictionsBatch(equivalenceURLs)
-	if len(newBatch) != len(equivalenceURLs) || len(oldBatch) != len(equivalenceURLs) {
-		t.Fatalf("%s: batch lengths %d/%d", label, len(newBatch), len(oldBatch))
+	batch := m.ClassifyBatch(equivalenceURLs)
+	if len(batch) != len(equivalenceURLs) {
+		t.Fatalf("%s: batch length %d", label, len(batch))
 	}
 	for i, u := range equivalenceURLs {
-		if newBatch[i] != m.Classify(u) {
+		if batch[i] != m.Classify(u) {
 			t.Fatalf("%s: ClassifyBatch[%d] differs from Classify(%q)", label, i, u)
-		}
-		if !reflect.DeepEqual(oldBatch[i], newBatch[i].Predictions()) {
-			t.Fatalf("%s: PredictionsBatch[%d] differs from ClassifyBatch", label, i)
 		}
 	}
 }
@@ -156,8 +154,8 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 				if want := wantMode(algo, feat); snap.Mode() != want {
 					t.Fatalf("%s compiled to mode %q, want %q", name, snap.Mode(), want)
 				}
-				assertOldNewEquivalent(t, name+"/classifier", clf)
-				assertOldNewEquivalent(t, name+"/snapshot", snap)
+				assertResultConsistent(t, name+"/classifier", clf)
+				assertResultConsistent(t, name+"/snapshot", snap)
 				assertModelsIdentical(t, name+"/classifier-vs-snapshot", clf, snap)
 				assertSurvivesSaveOpen(t, name, clf, snap)
 			})
@@ -169,12 +167,12 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := clf.Describe()
-		assertOldNewEquivalent(t, label+"/classifier", clf)
+		assertResultConsistent(t, label+"/classifier", clf)
 		snap := clf.Compile()
 		if !snap.Compiled() || snap.Mode() != "tld" {
 			t.Fatalf("%s compiled = %v mode %q, want the tld mode", label, snap.Compiled(), snap.Mode())
 		}
-		assertOldNewEquivalent(t, label+"/snapshot", snap)
+		assertResultConsistent(t, label+"/snapshot", snap)
 		assertModelsIdentical(t, label+"/classifier-vs-snapshot", clf, snap)
 		assertSurvivesSaveOpen(t, label, clf, snap)
 	}

@@ -44,19 +44,15 @@ import (
 )
 
 // mode selects the compiled scoring strategy. The numbering is part of
-// the wire format: values 0–3 match version-1 snapshot files (0 was the
-// retired fallback, kept as a wire sentinel so legacy files recompile
-// on load).
+// the wire format — v3 files store it as flatMeta.ModeID — so values
+// must never be renumbered. 0 is reserved (it was the retired
+// version-1 fallback) and LoadFlat rejects it.
 type mode uint8
 
 const (
-	// modeLegacy marks a version-1 fallback file embedding the original
-	// core.System; Load recompiles such systems natively. Never held by
-	// a live Snapshot.
-	modeLegacy mode = iota
 	// modeCount starts from a per-language prior and adds count-weighted
 	// feature weights (Naive Bayes: s = prior + Σ c·w).
-	modeCount
+	modeCount mode = iota + 1
 	// modeCountPost accumulates from zero and adds a per-language bias
 	// last (Maximum Entropy: s = Σ c·w + bias).
 	modeCountPost
@@ -143,9 +139,7 @@ func FromSystem(sys *core.System) *Snapshot {
 	return s
 }
 
-// compile is the error-returning form of FromSystem, shared with the
-// legacy-file loading path where a malformed System must surface as an
-// error, not a panic.
+// compile is the error-returning body of FromSystem.
 func compile(sys *core.System) (*Snapshot, error) {
 	s := &Snapshot{cfg: sys.Config}
 	s.pool.New = func() any { return new(scratch) }

@@ -1,34 +1,29 @@
-// Package modelfile defines the on-disk container for urllangid models:
-// a fixed magic header, a format version and a kind byte, a metadata
-// block, followed by the kind's gob payload. The header makes model
-// files self-describing — one loader opens both trained classifiers and
-// compiled snapshots and reports *which* it found, instead of two
-// incompatible entry points failing with raw gob errors when handed the
-// other's file.
+// Package modelfile defines the on-disk containers for urllangid
+// models. Every file opens with a fixed magic header carrying a
+// container version and a kind byte, so one loader opens both model
+// kinds and reports which it found, instead of two entry points failing
+// with raw decode errors when handed the other's file. Two containers
+// exist:
 //
-// Since container version 2 the header is followed by a small JSON
-// metadata block carrying the payload's SHA-256 digest, its byte
-// length, and the model's configuration label. The digest gives every
-// model file a stable content identity — the model registry compares it
-// to skip no-op reloads and reports it per served version — and doubles
-// as an integrity check: a truncated or bit-flipped payload fails with
-// a message naming the damage instead of a gob decode error deep in the
-// payload.
+//   - Trained classifiers use container version 2: the header, a small
+//     JSON metadata block (the payload's SHA-256 digest, its byte
+//     length and the configuration label), then the core.System gob
+//     payload. The digest gives the file a stable content identity —
+//     the model registry compares it to skip no-op reloads — and makes
+//     a truncated or bit-flipped payload fail with a message naming the
+//     damage instead of a gob decode error.
+//   - Compiled snapshots use container version 3, the flat, mmap-able
+//     section layout implemented in the nested flat package: a
+//     validated section directory with per-section SHA-256 digests over
+//     typed little-endian payloads that serving consumes as views in
+//     place. OpenPath maps such a file instead of reading it, which
+//     makes open time independent of model size and lets the page
+//     cache share one copy of the weights across processes.
 //
-// Container version 3 abandons the opaque gob payload for the flat,
-// mmap-able section layout implemented in the nested flat package: a
-// validated section directory with per-section SHA-256 digests over
-// typed little-endian payloads that serving consumes as views in
-// place. Snapshots are written as v3 (WriteSnapshot); OpenPath maps a
-// v3 file instead of reading it, which makes model open time
-// independent of model size and lets the page cache share one copy of
-// the weights across processes.
-//
-// Files written before the header existed (plain core.System or
-// compiled.Snapshot gobs) still load, as do version-1 files without the
-// metadata block and version-2 gob containers: Read dispatches on the
-// header and falls back to sniffing the gob payload when the magic is
-// absent.
+// Retired formats — headerless gobs from before the header existed,
+// version-1 containers and version-2 snapshot containers — are
+// rejected from their first bytes with an error that names the format
+// and the command that writes a current file.
 package modelfile
 
 import (
@@ -48,26 +43,22 @@ import (
 	"urllangid/internal/modelfile/flat"
 )
 
-// magic opens every headered model file. Modeled on the PNG signature:
-// the high bit in the first byte breaks text-mode transfers, and no
-// legacy gob stream can start with it (a gob message starts with its
-// byte count — either one byte < 0x80 or a small negated length count
-// 0xff..0xf8 — never 0x89).
+// magic opens every model file. Modeled on the PNG signature: the high
+// bit in the first byte breaks text-mode transfers, and no gob stream
+// can start with it (a gob message starts with its byte count — either
+// one byte < 0x80 or a small negated length count 0xff..0xf8 — never
+// 0x89).
 var magic = [8]byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
 
-// Container format versions. Version 1 is header + payload; version 2
-// inserts the metadata block between them; version 3 is the flat
-// section layout (snapshots only — classifiers stay gob, their
-// training-time structures gain nothing from mapping). Writers emit
-// version 2 for classifiers and version 3 for snapshots; Read accepts
-// all three. The gob payloads carry their own compatibility story
-// (gob field matching for classifiers, an explicit version field for
-// snapshots).
+// Container format versions: version 2 (header + metadata block + gob
+// payload) holds classifiers, version 3 (the flat section layout)
+// holds snapshots — classifiers stay gob, their training-time
+// structures gain nothing from mapping. Version 1 (header + payload,
+// no metadata) is retired.
 const (
-	versionFlat    byte = flat.Version // current for snapshots: flat section layout
-	versionMeta    byte = 2            // current for classifiers: header + meta block + gob payload
-	versionPlain   byte = 1            // legacy: header + payload, no metadata
-	writtenVersion      = versionMeta
+	versionRetired byte = 1
+	versionMeta    byte = 2
+	versionFlat    byte = flat.Version
 )
 
 // Model kinds, stored in the header's kind byte.
@@ -84,27 +75,29 @@ const headerLen = len(magic) + 2
 // prefix, not a model.
 const maxMetaBytes = 1 << 20
 
-// minModelBytes is the smallest plausible serialized model: even an
-// untrained baseline's gob stream spends more than this on type
-// descriptors alone. Shorter headerless inputs are rejected as "not a
-// model file" without attempting a decode.
+// minModelBytes is the smallest plausible model file: even an
+// untrained baseline spends more than this on its header and metadata.
+// Shorter headerless inputs are rejected with their size, so an empty
+// or half-copied file reads as what it is.
 const minModelBytes = 64
 
-// Meta is the container's metadata block: the payload's content
-// identity and enough description to report a model without decoding
-// it. It is stored as JSON so foreign tooling can read it.
+// Meta is a model file's identity: the payload's content digest and
+// enough description to report a model without decoding it. Version-2
+// files store it as their JSON metadata block; for version-3 files it
+// is derived from the header and the metadata section.
 type Meta struct {
-	// Digest is the lowercase hex SHA-256 of the payload bytes. It
-	// identifies the model content independent of the file path, and is
-	// verified on Read.
+	// Digest is the lowercase hex SHA-256 identifying the model
+	// content independent of the file path: of the payload bytes for
+	// version-2 files (verified by ReadBytes), of the section directory
+	// for version-3 files.
 	Digest string `json:"digest"`
-	// PayloadBytes is the exact payload length, letting Read distinguish
-	// truncation from corruption.
+	// PayloadBytes is the exact payload length, letting ReadBytes
+	// distinguish truncation from corruption.
 	PayloadBytes int64 `json:"payload_bytes"`
 	// Label is the model's configuration label, e.g. "NB/word".
 	Label string `json:"label,omitempty"`
 	// Mode is the compiled mode ("linear", "custom", "dtree", "knn",
-	// "tld") for snapshot payloads; empty for classifiers.
+	// "tld") for snapshots; empty for classifiers.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -120,32 +113,32 @@ func KindName(kind byte) string {
 	}
 }
 
-// DigestBytes returns the lowercase hex SHA-256 of data — the same
-// digest Write stores in the metadata block when data is a payload.
-// The registry uses it to derive a content identity for legacy files
-// that carry no metadata (hashing the whole file instead).
+// DigestBytes returns the lowercase hex SHA-256 of data — the digest
+// WriteClassifier stores in the metadata block when data is a payload.
 func DigestBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
-// writeModel frames a serialized payload: header, metadata block,
-// payload bytes.
-func writeModel(w io.Writer, kind byte, label, mode string, payload []byte) error {
+// WriteClassifier serialises a trained system in the version-2
+// container: header, metadata block, gob payload.
+func WriteClassifier(w io.Writer, sys *core.System) error {
+	var payload bytes.Buffer
+	if err := sys.Save(&payload); err != nil {
+		return err
+	}
 	var h [headerLen]byte
 	copy(h[:], magic[:])
-	h[len(magic)] = writtenVersion
-	h[len(magic)+1] = kind
+	h[len(magic)] = versionMeta
+	h[len(magic)+1] = KindClassifier
 	if _, err := w.Write(h[:]); err != nil {
 		return fmt.Errorf("writing model header: %w", err)
 	}
-	meta := Meta{
-		Digest:       DigestBytes(payload),
-		PayloadBytes: int64(len(payload)),
-		Label:        label,
-		Mode:         mode,
-	}
-	mb, err := json.Marshal(meta)
+	mb, err := json.Marshal(Meta{
+		Digest:       DigestBytes(payload.Bytes()),
+		PayloadBytes: int64(payload.Len()),
+		Label:        sys.Config.Describe(),
+	})
 	if err != nil {
 		return fmt.Errorf("encoding model metadata: %w", err)
 	}
@@ -157,50 +150,23 @@ func writeModel(w io.Writer, kind byte, label, mode string, payload []byte) erro
 	if _, err := w.Write(mb); err != nil {
 		return fmt.Errorf("writing model metadata: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(payload.Bytes()); err != nil {
 		return fmt.Errorf("writing model payload: %w", err)
 	}
 	return nil
 }
 
-// WriteClassifier serialises a trained system with the classifier
-// header and metadata block.
-func WriteClassifier(w io.Writer, sys *core.System) error {
-	var payload bytes.Buffer
-	if err := sys.Save(&payload); err != nil {
-		return err
-	}
-	return writeModel(w, KindClassifier, sys.Config.Describe(), "", payload.Bytes())
-}
-
-// WriteSnapshot serialises a compiled snapshot in the current (flat,
-// version-3) container: typed sections that later Opens map and consume
-// in place.
+// WriteSnapshot serialises a compiled snapshot in the version-3 flat
+// container: typed sections that later Opens map and consume in place.
 func WriteSnapshot(w io.Writer, snap *compiled.Snapshot) error {
 	return snap.WriteFlat(w)
 }
 
-// WriteSnapshotV2 serialises a compiled snapshot in the version-2 gob
-// container. Kept for compatibility coverage (the cross-format
-// equivalence tests prove v2 and v3 files of one model classify
-// bit-identically) and for producing files older builds can read.
-func WriteSnapshotV2(w io.Writer, snap *compiled.Snapshot) error {
-	var payload bytes.Buffer
-	if err := snap.Save(&payload); err != nil {
-		return err
-	}
-	return writeModel(w, KindSnapshot, snap.Describe(), snap.Mode(), payload.Bytes())
-}
-
-// ErrNoHeader reports input without the model file magic: either a
-// legacy headerless gob or not a model file at all. Inspect returns it;
-// Read instead falls back to sniffing the payload.
-var ErrNoHeader = errors.New("no model file header")
-
-// readMeta decodes the version-2 metadata block from br.
-func readMeta(br *bufio.Reader) (*Meta, error) {
+// readMeta decodes the version-2 metadata block from r: a big-endian
+// uint32 length, then that many bytes of JSON.
+func readMeta(r io.Reader) (*Meta, error) {
 	var mlen [4]byte
-	if _, err := io.ReadFull(br, mlen[:]); err != nil {
+	if _, err := io.ReadFull(r, mlen[:]); err != nil {
 		return nil, fmt.Errorf("model file truncated in metadata length: %w", err)
 	}
 	n := binary.BigEndian.Uint32(mlen[:])
@@ -208,7 +174,7 @@ func readMeta(br *bufio.Reader) (*Meta, error) {
 		return nil, fmt.Errorf("model metadata block claims %d bytes (limit %d): corrupt file", n, maxMetaBytes)
 	}
 	mb := make([]byte, n)
-	if _, err := io.ReadFull(br, mb); err != nil {
+	if _, err := io.ReadFull(r, mb); err != nil {
 		return nil, fmt.Errorf("model file truncated in metadata block: %w", err)
 	}
 	var meta Meta
@@ -218,70 +184,44 @@ func readMeta(br *bufio.Reader) (*Meta, error) {
 	return &meta, nil
 }
 
-// checkVerKind validates the header's version and kind bytes.
-func checkVerKind(ver, kind byte) error {
-	if ver != versionPlain && ver != versionMeta && ver != versionFlat {
-		return fmt.Errorf("model file has container version %d; this build reads versions %d through %d (rebuild or re-save the model)",
-			ver, versionPlain, versionFlat)
+// regenerate names the command that writes a current file of kind.
+func regenerate(kind byte) string {
+	if kind == KindClassifier {
+		return "re-run `urllangid train` to write a current classifier"
 	}
-	if kind != KindClassifier && kind != KindSnapshot {
-		return fmt.Errorf("model file declares %s; this build knows classifiers (%q) and snapshots (%q)",
-			KindName(kind), KindClassifier, KindSnapshot)
-	}
-	if ver == versionFlat && kind != KindSnapshot {
-		return fmt.Errorf("model file declares a version-%d flat container holding a %s; only snapshots use the flat layout",
-			ver, KindName(kind))
-	}
-	return nil
+	return "re-run `urllangid compile` to write a version-3 snapshot"
 }
 
-// readHeader peeks the container header. ok is false when the magic is
-// absent (legacy or foreign input).
-func readHeader(br *bufio.Reader) (ver, kind byte, ok bool, err error) {
-	head, peekErr := br.Peek(headerLen)
-	if peekErr != nil || !bytes.Equal(head[:len(magic)], magic[:]) {
-		return 0, 0, false, nil
+// parseHeader validates a model file's first bytes and returns its
+// container version and kind. head holds the first headerLen bytes (or
+// the whole file when shorter); size is the whole file's length.
+// Everything this build does not read — foreign data, retired formats,
+// unknown versions and kinds — is rejected here, before any payload
+// byte is touched.
+func parseHeader(head []byte, size int64) (ver, kind byte, err error) {
+	if len(head) < headerLen || !bytes.Equal(head[:len(magic)], magic[:]) {
+		if size < minModelBytes {
+			return 0, 0, fmt.Errorf("not a model file (%d bytes: shorter than any saved model)", size)
+		}
+		return 0, 0, errors.New("unrecognized model data: no urllangid header, so either not a model file or a headerless gob from before the header existed, a retired format: re-run `urllangid compile` for snapshots or `urllangid train` for classifiers")
 	}
 	ver, kind = head[len(magic)], head[len(magic)+1]
-	if _, err := br.Discard(headerLen); err != nil {
-		return 0, 0, false, fmt.Errorf("reading model header: %w", err)
+	switch {
+	case kind != KindClassifier && kind != KindSnapshot:
+		return 0, 0, fmt.Errorf("model file declares %s; this build knows classifiers (%q) and snapshots (%q)",
+			KindName(kind), KindClassifier, KindSnapshot)
+	case ver == versionRetired:
+		return 0, 0, fmt.Errorf("model file is a version-1 %s container, a retired format: %s", KindName(kind), regenerate(kind))
+	case ver == versionMeta && kind == KindSnapshot:
+		return 0, 0, fmt.Errorf("model file is a version-2 gob %s container, a retired format: %s", KindName(kind), regenerate(kind))
+	case ver == versionFlat && kind != KindSnapshot:
+		return 0, 0, fmt.Errorf("model file declares a version-%d flat container holding a %s; only snapshots use the flat layout",
+			ver, KindName(kind))
+	case ver != versionMeta && ver != versionFlat:
+		return 0, 0, fmt.Errorf("model file has container version %d; this build reads version-%d classifiers and version-%d snapshots",
+			ver, versionMeta, versionFlat)
 	}
-	if err := checkVerKind(ver, kind); err != nil {
-		return 0, 0, false, err
-	}
-	return ver, kind, true, nil
-}
-
-// Inspect reads a model file's header and metadata without decoding
-// the payload — the cheap path for asking "what is this file, and has
-// its content changed?". For version-2 files that is the metadata
-// block; for version-3 flat files it is the header and section
-// directory (whose digest is the model's content identity) plus the
-// small metadata section. meta is nil for version-1 files, which carry
-// none. Headerless input returns ErrNoHeader; callers that need a
-// content identity for such files hash them with DigestBytes.
-func Inspect(r io.Reader) (kind byte, meta *Meta, err error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(headerLen); err == nil &&
-		bytes.Equal(head[:len(magic)], magic[:]) && head[len(magic)] == versionFlat {
-		kind, meta, _, err := inspectFlatReader(br)
-		return kind, meta, err
-	}
-	ver, kind, ok, err := readHeader(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !ok {
-		return 0, nil, ErrNoHeader
-	}
-	if ver == versionPlain {
-		return kind, nil, nil
-	}
-	meta, err = readMeta(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	return kind, meta, nil
+	return ver, kind, nil
 }
 
 // inspectFlatReader reads a v3 file's directory and metadata section
@@ -363,178 +303,113 @@ type SectionInfo struct {
 // Info is a model file's full inspection report: what InspectFile
 // learns without decoding any model payload.
 type Info struct {
-	// Version is the container version (1, 2 or 3); 0 for legacy
-	// headerless files.
+	// Version is the container version: 2 for classifiers, 3 for
+	// snapshots.
 	Version byte `json:"version"`
-	// Kind is the kind byte (KindClassifier or KindSnapshot); 0 when
-	// unknown (legacy files).
+	// Kind is the kind byte (KindClassifier or KindSnapshot).
 	Kind byte `json:"-"`
-	// Meta is the metadata block (nil for version-1 and legacy files).
-	// For version-3 files the digest is the model digest from the
-	// header.
+	// Meta is the model's identity. For version-3 files the digest is
+	// the model digest from the header.
 	Meta *Meta `json:"meta,omitempty"`
 	// Sections is the v3 section directory, in file order; nil for
-	// earlier versions.
+	// classifiers.
 	Sections []SectionInfo `json:"sections,omitempty"`
 }
 
 // InspectFile reports what the file at path holds — container version,
 // kind, metadata, and (for v3) the full section directory — without
-// decoding any model payload. Legacy headerless files return
-// ErrNoHeader, as Inspect does.
+// decoding any model payload: the cheap path for asking "what is this
+// file, and has its content changed?". Files this build does not read
+// are rejected exactly as ReadBytes rejects them.
 func InspectFile(path string) (*Info, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := uint64(st.Size())
 	br := bufio.NewReader(f)
-	head, err := br.Peek(headerLen)
-	if err != nil || !bytes.Equal(head[:len(magic)], magic[:]) {
-		return nil, ErrNoHeader
-	}
-	ver := head[len(magic)]
-	if err := checkVerKind(ver, head[len(magic)+1]); err != nil {
-		return nil, err
-	}
-	if ver == versionFlat {
-		kind, meta, secs, err := inspectFlatReader(br)
-		if err != nil {
-			return nil, err
-		}
-		// The directory is internally consistent (its digest matched), but
-		// a truncated copy can still carry a directory whose sections
-		// point past the end of the file. The file size is known here, so
-		// reject that without reading any payload.
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		size := uint64(st.Size())
-		for _, s := range secs {
-			if s.Off > size || s.Len > size-s.Off {
-				return nil, fmt.Errorf("%s section [%d,+%d) extends past the %d-byte file: truncated copy",
-					flat.SectionName(s.Type), s.Off, s.Len, size)
-			}
-		}
-		info := &Info{Version: ver, Kind: kind, Meta: meta, Sections: make([]SectionInfo, len(secs))}
-		for i, s := range secs {
-			info.Sections[i] = SectionInfo{
-				Name:   flat.SectionName(s.Type),
-				Lang:   s.Lang,
-				Off:    s.Off,
-				Len:    s.Len,
-				Digest: hex.EncodeToString(s.Digest[:]),
-			}
-		}
-		return info, nil
-	}
-	kind, meta, err := Inspect(br)
+	head, _ := br.Peek(headerLen)
+	ver, kind, err := parseHeader(head, st.Size())
 	if err != nil {
 		return nil, err
 	}
-	return &Info{Version: ver, Kind: kind, Meta: meta}, nil
-}
-
-// Read loads a model of either kind from r, returning exactly one of
-// (sys, snap) non-nil. It is ReadWithMeta without the metadata.
-func Read(r io.Reader) (sys *core.System, snap *compiled.Snapshot, err error) {
-	sys, snap, _, err = ReadWithMeta(r)
-	return sys, snap, err
-}
-
-// ReadWithMeta loads a model of either kind from r. It buffers the
-// stream and delegates to ReadBytes.
-func ReadWithMeta(r io.Reader) (sys *core.System, snap *compiled.Snapshot, meta *Meta, err error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reading model data: %w", err)
+	if ver == versionMeta {
+		if _, err := br.Discard(headerLen); err != nil {
+			return nil, fmt.Errorf("reading model header: %w", err)
+		}
+		meta, err := readMeta(br)
+		if err != nil {
+			return nil, err
+		}
+		return &Info{Version: ver, Kind: kind, Meta: meta}, nil
 	}
-	return ReadBytes(data)
+	kind, meta, secs, err := inspectFlatReader(br)
+	if err != nil {
+		return nil, err
+	}
+	// The directory is internally consistent (its digest matched), but
+	// a truncated copy can still carry a directory whose sections point
+	// past the end of the file. The file size is known here, so reject
+	// that without reading any payload.
+	for _, s := range secs {
+		if s.Off > size || s.Len > size-s.Off {
+			return nil, fmt.Errorf("%s section [%d,+%d) extends past the %d-byte file: truncated copy",
+				flat.SectionName(s.Type), s.Off, s.Len, size)
+		}
+	}
+	info := &Info{Version: ver, Kind: kind, Meta: meta, Sections: make([]SectionInfo, len(secs))}
+	for i, s := range secs {
+		info.Sections[i] = SectionInfo{
+			Name:   flat.SectionName(s.Type),
+			Lang:   s.Lang,
+			Off:    s.Off,
+			Len:    s.Len,
+			Digest: hex.EncodeToString(s.Digest[:]),
+		}
+	}
+	return info, nil
 }
 
 // ReadBytes loads a model of either kind from an in-memory file image,
-// returning exactly one of (sys, snap) non-nil plus the file's metadata
-// block (nil for version-1 and legacy headerless files). The payload is
-// sliced out of data, not copied — callers that already hold the file
-// bytes (the registry reads files once per load/reload) pay no second
-// buffer. Headered files dispatch on their kind byte, and version-2
-// payloads are verified against their recorded length and digest before
-// decoding; headerless files from pre-header releases are sniffed: the
-// snapshot decoder is tried first because it validates an internal
-// version field, whereas force-decoding a snapshot gob as a classifier
-// would "succeed" with an empty system.
+// returning exactly one of (sys, snap) non-nil plus the file's
+// metadata. A version-3 snapshot views data in place — callers that
+// already hold the file bytes pay no second buffer. A version-2
+// classifier's payload is verified against its recorded length and
+// digest before it is decoded.
 func ReadBytes(data []byte) (sys *core.System, snap *compiled.Snapshot, meta *Meta, err error) {
-	if len(data) >= headerLen && bytes.Equal(data[:len(magic)], magic[:]) {
-		ver, kind := data[len(magic)], data[len(magic)+1]
-		if err := checkVerKind(ver, kind); err != nil {
-			return nil, nil, nil, err
-		}
-		if ver == versionFlat {
-			snap, meta, err := readFlatBytes(data, nil)
-			return nil, snap, meta, err
-		}
-		payload := data[headerLen:]
-		if ver == versionMeta {
-			if len(payload) < 4 {
-				return nil, nil, nil, fmt.Errorf("model file truncated in metadata length: %d bytes after the header", len(payload))
-			}
-			n := binary.BigEndian.Uint32(payload[:4])
-			if n > maxMetaBytes {
-				return nil, nil, nil, fmt.Errorf("model metadata block claims %d bytes (limit %d): corrupt file", n, maxMetaBytes)
-			}
-			if uint64(len(payload)-4) < uint64(n) {
-				return nil, nil, nil, fmt.Errorf("model file truncated in metadata block: %d of %d bytes", len(payload)-4, n)
-			}
-			meta = new(Meta)
-			if err := json.Unmarshal(payload[4:4+n], meta); err != nil {
-				return nil, nil, nil, fmt.Errorf("decoding model metadata: %w", err)
-			}
-			payload = payload[4+n:]
-			switch {
-			case int64(len(payload)) < meta.PayloadBytes:
-				return nil, nil, nil, fmt.Errorf("model payload truncated: %d of %d bytes (re-copy the file)", len(payload), meta.PayloadBytes)
-			case int64(len(payload)) > meta.PayloadBytes:
-				return nil, nil, nil, fmt.Errorf("model file carries %d bytes beyond its declared %d-byte payload (corrupted or concatenated)", int64(len(payload))-meta.PayloadBytes, meta.PayloadBytes)
-			}
-			if got := DigestBytes(payload); got != meta.Digest {
-				return nil, nil, nil, fmt.Errorf("model payload corrupted: SHA-256 digest mismatch (file claims %.12s…, content is %.12s…)", meta.Digest, got)
-			}
-		}
-		// checkVerKind admits only the two known kinds.
-		if kind == KindClassifier {
-			sys, err := core.Load(bytes.NewReader(payload))
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
-			}
-			return sys, nil, meta, nil
-		}
-		snap, err := compiled.Load(bytes.NewReader(payload))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
-		}
-		return nil, snap, meta, nil
+	ver, kind, err := parseHeader(data, int64(len(data)))
+	if err != nil {
+		return nil, nil, nil, err
 	}
-
-	// Headerless: a legacy gob payload (or not a model file at all).
-	// Empty and tiny inputs get a size-stating rejection up front — the
-	// common "served an empty file" operational mistake must not surface
-	// as a raw gob/EOF decode error.
-	if len(data) < minModelBytes {
-		return nil, nil, nil, fmt.Errorf("not a model file (%d bytes: shorter than any saved model)", len(data))
+	if ver == versionFlat {
+		snap, meta, err := readFlatBytes(data, nil)
+		return nil, snap, meta, err
 	}
-	if snap, err := compiled.Load(bytes.NewReader(data)); err == nil {
-		return nil, snap, nil, nil
+	r := bytes.NewReader(data[headerLen:])
+	meta, err = readMeta(r)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	sys, sysErr := core.Load(bytes.NewReader(data))
-	if sysErr == nil {
-		if !completeSystem(sys) {
-			sysErr = errors.New("decoded classifier is missing its extractor or models (truncated or foreign gob data)")
-		} else {
-			return sys, nil, nil, nil
-		}
+	payload := data[len(data)-r.Len():]
+	switch {
+	case int64(len(payload)) < meta.PayloadBytes:
+		return nil, nil, nil, fmt.Errorf("model payload truncated: %d of %d bytes (re-copy the file)", len(payload), meta.PayloadBytes)
+	case int64(len(payload)) > meta.PayloadBytes:
+		return nil, nil, nil, fmt.Errorf("model file carries %d bytes beyond its declared %d-byte payload (corrupted or concatenated)", int64(len(payload))-meta.PayloadBytes, meta.PayloadBytes)
 	}
-	return nil, nil, nil, fmt.Errorf("unrecognized model data: no urllangid header and the payload is neither a saved classifier nor a compiled snapshot (%v)", sysErr)
+	if got := DigestBytes(payload); got != meta.Digest {
+		return nil, nil, nil, fmt.Errorf("model payload corrupted: SHA-256 digest mismatch (file claims %.12s…, content is %.12s…)", meta.Digest, got)
+	}
+	sys, err = core.Load(bytes.NewReader(payload))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
+	}
+	return sys, nil, meta, nil
 }
 
 // readFlatBytes loads a v3 flat container over data, handing the
@@ -562,36 +437,32 @@ func readFlatBytes(data []byte, mapping *flat.Mapping) (*compiled.Snapshot, *Met
 }
 
 // OpenedModel is OpenPath's result: exactly one of Sys and Snap is
-// non-nil, plus the file's metadata and content identity.
+// non-nil, plus the file's metadata.
 type OpenedModel struct {
 	// Sys is the trained system for classifier files.
 	Sys *core.System
-	// Snap is the compiled snapshot for snapshot files. For v3 files it
-	// is backed by a memory mapping and must be Closed after last use.
+	// Snap is the compiled snapshot for snapshot files. It is backed
+	// by a memory mapping and must be Closed after last use.
 	Snap *compiled.Snapshot
-	// Meta is the file's metadata (nil for version-1 and legacy files).
+	// Meta is the file's metadata. Its Digest is the content identity
+	// under which reloads compare; for snapshots it comes from the
+	// header alone, so computing it never touches the payloads.
 	Meta *Meta
-	// Digest is the content identity under which reloads compare: the
-	// metadata digest when the file carries one, a whole-file hash
-	// otherwise. For v3 files it comes from the header alone — the
-	// directory hash — so computing it never touches the payloads.
-	Digest string
 }
 
 // OpenPath opens the model file at path through the cheapest route its
-// container version allows: v3 flat files are memory-mapped (read
-// fallback where mmap is unavailable) and their snapshot views the
-// mapping in place — open cost independent of model size — while v1/v2
-// and legacy files are read and decoded as before. The caller owns the
-// returned snapshot's backing mapping via Snapshot.Close.
+// container allows: v3 snapshot files are memory-mapped (read fallback
+// where mmap is unavailable) and their snapshot views the mapping in
+// place — open cost independent of model size — while v2 classifier
+// files are read and decoded. The caller owns the returned snapshot's
+// backing mapping via Snapshot.Close.
 func OpenPath(path string) (*OpenedModel, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// A file shorter than the sniff window can still be a (broken)
-	// legacy container, so short reads fall through to the full-read
-	// path below; real I/O errors fail here.
+	// A file shorter than the header falls through to ReadBytes, which
+	// reports what it is; real I/O errors fail here.
 	var head [headerLen]byte
 	n, err := io.ReadFull(f, head[:])
 	f.Close()
@@ -608,7 +479,7 @@ func OpenPath(path string) (*OpenedModel, error) {
 			m.Release()
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		return &OpenedModel{Snap: snap, Meta: meta, Digest: meta.Digest}, nil
+		return &OpenedModel{Snap: snap, Meta: meta}, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -618,29 +489,5 @@ func OpenPath(path string) (*OpenedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	digest := ""
-	if meta != nil {
-		digest = meta.Digest
-	} else {
-		digest = DigestBytes(data)
-	}
-	return &OpenedModel{Sys: sys, Snap: snap, Meta: meta, Digest: digest}, nil
-}
-
-// completeSystem guards the legacy sniff path: gob happily decodes
-// near-miss streams into a System with nil members, which must read as
-// "not a classifier", not as a model that panics on first use.
-func completeSystem(s *core.System) bool {
-	if !s.Config.Algo.NeedsTraining() {
-		return true // baselines carry no extractor or models
-	}
-	if s.Extractor == nil {
-		return false
-	}
-	for _, m := range s.Models {
-		if m == nil {
-			return false
-		}
-	}
-	return true
+	return &OpenedModel{Sys: sys, Snap: snap, Meta: meta}, nil
 }

@@ -2,6 +2,9 @@ package modelfile
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +44,7 @@ func TestHeaderedClassifierRoundTrip(t *testing.T) {
 	if got := buf.Bytes()[0]; got != 0x89 {
 		t.Fatalf("header starts with 0x%02x, want 0x89", got)
 	}
-	loadedSys, loadedSnap, meta, err := ReadWithMeta(bytes.NewReader(buf.Bytes()))
+	loadedSys, loadedSnap, meta, err := ReadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestHeaderedSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	loadedSys, loadedSnap, meta, err := ReadWithMeta(bytes.NewReader(buf.Bytes()))
+	loadedSys, loadedSnap, meta, err := ReadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,55 +88,61 @@ func TestHeaderedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInspect pins the cheap no-decode path: header + metadata only,
-// with the same digest Read verifies, and ErrNoHeader for legacy gobs.
+// TestInspect pins the cheap no-decode path: InspectFile reports the
+// same kind, metadata and digest ReadBytes does, from the header and
+// metadata alone.
 func TestInspect(t *testing.T) {
-	snap := compiled.FromSystem(system(t))
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, snap); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	write := func(name string, save func(*bytes.Buffer) error) (string, []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path, buf.Bytes()
 	}
-	kind, meta, err := Inspect(bytes.NewReader(buf.Bytes()))
+
+	clfPath, clfData := write("clf.model", func(b *bytes.Buffer) error { return WriteClassifier(b, system(t)) })
+	info, err := InspectFile(clfPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != KindSnapshot || meta == nil || meta.Mode != "linear" {
-		t.Errorf("Inspect = kind %q meta %+v", kind, meta)
+	if info.Version != versionMeta || info.Kind != KindClassifier || info.Meta.Label != "NB/word" || info.Sections != nil {
+		t.Errorf("InspectFile(classifier) = %+v meta %+v", info, info.Meta)
 	}
 	// The stored digest is the digest of exactly the payload bytes.
-	payload := buf.Bytes()[len(buf.Bytes())-int(meta.PayloadBytes):]
-	if DigestBytes(payload) != meta.Digest {
+	payload := clfData[len(clfData)-int(info.Meta.PayloadBytes):]
+	if DigestBytes(payload) != info.Meta.Digest {
 		t.Error("stored digest does not cover the payload bytes")
 	}
 
 	// The v3 flat container inspects too: same kind and metadata, and
-	// the digest it reports is the one Read verifies (the directory
+	// the digest it reports is the one ReadBytes verifies (the directory
 	// hash, recoverable from the header alone).
-	var v3 bytes.Buffer
-	if err := WriteSnapshot(&v3, snap); err != nil {
-		t.Fatal(err)
-	}
-	kind3, meta3, err := Inspect(bytes.NewReader(v3.Bytes()))
+	snapPath, snapData := write("snap.model", func(b *bytes.Buffer) error {
+		return WriteSnapshot(b, compiled.FromSystem(system(t)))
+	})
+	info3, err := InspectFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind3 != KindSnapshot || meta3 == nil || meta3.Mode != "linear" {
-		t.Errorf("Inspect(v3) = kind %q meta %+v", kind3, meta3)
+	if info3.Version != versionFlat || info3.Kind != KindSnapshot || info3.Meta.Mode != "linear" || len(info3.Sections) == 0 {
+		t.Errorf("InspectFile(v3) = %+v meta %+v", info3, info3.Meta)
 	}
-	_, dirDigest, _, err := ReadIndexFlat(bytes.NewReader(v3.Bytes()))
+	_, dirDigest, _, err := ReadIndexFlat(bytes.NewReader(snapData))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta3.Digest != dirDigest {
-		t.Errorf("Inspect(v3) digest %s != directory digest %s", meta3.Digest, dirDigest)
-	}
-
-	var legacy bytes.Buffer
-	if err := snap.Save(&legacy); err != nil {
+	_, _, meta3, err := ReadBytes(snapData)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Inspect(bytes.NewReader(legacy.Bytes())); err != ErrNoHeader {
-		t.Errorf("Inspect(legacy gob) = %v, want ErrNoHeader", err)
+	if info3.Meta.Digest != dirDigest || meta3.Digest != dirDigest {
+		t.Errorf("v3 digests: InspectFile %s, ReadBytes %s, directory %s", info3.Meta.Digest, meta3.Digest, dirDigest)
 	}
 }
 
@@ -148,11 +157,11 @@ func TestDeterministicDigest(t *testing.T) {
 	if err := WriteClassifier(&b, system(t)); err != nil {
 		t.Fatal(err)
 	}
-	_, ma, err := Inspect(bytes.NewReader(a.Bytes()))
+	_, _, ma, err := ReadBytes(a.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mb, err := Inspect(bytes.NewReader(b.Bytes()))
+	_, _, mb, err := ReadBytes(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,72 +170,58 @@ func TestDeterministicDigest(t *testing.T) {
 	}
 }
 
-// TestVersion1FilesStillLoad pins compatibility with the previous
-// container version: header + payload, no metadata block.
-func TestVersion1FilesStillLoad(t *testing.T) {
-	sys := system(t)
-	var payload bytes.Buffer
-	if err := sys.Save(&payload); err != nil {
+// retiredFormats builds one input per format this build no longer
+// reads, each from header bytes plus filler: rejection must happen
+// from the header alone. The headerless input is a gob stream, as the
+// pre-header Save paths wrote.
+func retiredFormats(t *testing.T) map[string][]byte {
+	t.Helper()
+	filler := bytes.Repeat([]byte{0x42}, 128)
+	header := func(ver, kind byte) []byte {
+		return append(append(append([]byte(nil), magic[:]...), ver, kind), filler...)
+	}
+	var headerless bytes.Buffer
+	if err := system(t).Save(&headerless); err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	v1.Write(magic[:])
-	v1.WriteByte(versionPlain)
-	v1.WriteByte(KindClassifier)
-	v1.Write(payload.Bytes())
-
-	gotSys, gotSnap, meta, err := ReadWithMeta(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 file rejected: %v", err)
-	}
-	if gotSnap != nil || gotSys == nil || meta != nil {
-		t.Fatalf("version-1 file read as (sys=%v snap=%v meta=%v)", gotSys != nil, gotSnap != nil, meta)
-	}
-	u := "http://www.nachrichten-seite.de/artikel"
-	if gotSys.Scores(u) != sys.Scores(u) {
-		t.Error("version-1 classifier scores differ")
-	}
-	if kind, meta, err := Inspect(bytes.NewReader(v1.Bytes())); err != nil || kind != KindClassifier || meta != nil {
-		t.Errorf("Inspect(v1) = kind %q meta %v err %v", kind, meta, err)
+	return map[string][]byte{
+		"version-1 trained classifier":    header(versionRetired, KindClassifier),
+		"version-1 compiled snapshot":     header(versionRetired, KindSnapshot),
+		"headerless":                      headerless.Bytes(),
+		"version-2 gob compiled snapshot": header(versionMeta, KindSnapshot),
 	}
 }
 
-// TestLegacyHeaderlessFiles pins backward compatibility: raw gob
-// payloads written by the pre-header Save paths must still load, and
-// must resolve to the right kind.
-func TestLegacyHeaderlessFiles(t *testing.T) {
-	sys := system(t)
-	u := "http://www.nachrichten-seite.de/artikel"
-
-	var legacyClf bytes.Buffer
-	if err := sys.Save(&legacyClf); err != nil {
-		t.Fatal(err)
-	}
-	gotSys, gotSnap, err := Read(&legacyClf)
-	if err != nil {
-		t.Fatalf("legacy classifier gob rejected: %v", err)
-	}
-	if gotSnap != nil || gotSys == nil {
-		t.Fatal("legacy classifier gob resolved to the wrong kind")
-	}
-	if gotSys.Scores(u) != sys.Scores(u) {
-		t.Error("legacy classifier scores differ")
-	}
-
-	snap := compiled.FromSystem(sys)
-	var legacySnap bytes.Buffer
-	if err := snap.Save(&legacySnap); err != nil {
-		t.Fatal(err)
-	}
-	gotSys, gotSnap, err = Read(&legacySnap)
-	if err != nil {
-		t.Fatalf("legacy snapshot gob rejected: %v", err)
-	}
-	if gotSys != nil || gotSnap == nil {
-		t.Fatal("legacy snapshot gob resolved to the wrong kind")
-	}
-	if gotSnap.Scores(u) != snap.Scores(u) {
-		t.Error("legacy snapshot scores differ")
+// TestReadBytesRejectsRetiredFormats: ReadBytes and InspectFile reject
+// each retired format with an error naming it and the command that
+// writes a current file, never a gob decode error.
+func TestReadBytesRejectsRetiredFormats(t *testing.T) {
+	dir := t.TempDir()
+	for format, data := range retiredFormats(t) {
+		t.Run(format, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(format, " ", "-"))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sys, snap, _, readErr := ReadBytes(data)
+			if sys != nil || snap != nil {
+				t.Fatalf("ReadBytes returned a model for a %s file", format)
+			}
+			_, inspectErr := InspectFile(path)
+			for name, err := range map[string]error{"ReadBytes": readErr, "InspectFile": inspectErr} {
+				if err == nil {
+					t.Fatalf("%s accepted a %s file", name, format)
+				}
+				for _, want := range []string{format, "retired format", "re-run `urllangid "} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s(%s) error %q does not mention %q", name, format, err, want)
+					}
+				}
+				if strings.Contains(err.Error(), "gob:") {
+					t.Errorf("%s(%s) error leaks a gob error: %q", name, format, err)
+				}
+			}
+		})
 	}
 }
 
@@ -265,7 +260,7 @@ func TestReadRejectsEmptyAndTruncated(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := Read(bytes.NewReader(tc.data))
+			_, _, _, err := ReadBytes(tc.data)
 			if err == nil {
 				t.Fatalf("Read accepted %d bytes of %s", len(tc.data), tc.name)
 			}
@@ -285,7 +280,7 @@ func TestReadRejectsUnknownKindAndVersion(t *testing.T) {
 	buf.WriteByte(versionMeta)
 	buf.WriteByte('Z')
 	buf.Write(make([]byte, 64)) // a plausible metadata-length frame
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+	if _, _, _, err := ReadBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Errorf("unknown kind error = %v", err)
 	}
 
@@ -293,7 +288,7 @@ func TestReadRejectsUnknownKindAndVersion(t *testing.T) {
 	buf.Write(magic[:])
 	buf.WriteByte(versionMeta + 1)
 	buf.WriteByte(KindClassifier)
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, _, _, err := ReadBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version error = %v", err)
 	}
 }
@@ -307,29 +302,30 @@ func TestReadRejectsTruncatedV1Payload(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	buf.Write(magic[:])
-	buf.WriteByte(versionPlain)
+	buf.WriteByte(versionRetired)
 	buf.WriteByte(KindClassifier)
 	buf.Write(payload.Bytes()[:16])
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "trained classifier") {
+	if _, _, _, err := ReadBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "trained classifier") {
 		t.Errorf("truncated v1 payload error = %v", err)
 	}
 }
 
-// TestLegacySnapshotNeverMisreadAsClassifier guards the sniff ordering:
-// a snapshot gob force-decoded as a classifier yields an empty System,
-// so the snapshot decoder must win and the classifier guard must hold.
+// TestLegacySnapshotNeverMisreadAsClassifier: a headerless gob shaped
+// like a pre-header snapshot must be rejected outright. Force-decoding
+// it as a classifier would yield an empty System that panics on first
+// use.
 func TestLegacySnapshotNeverMisreadAsClassifier(t *testing.T) {
-	snap := compiled.FromSystem(system(t))
 	var buf bytes.Buffer
-	if err := snap.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Version, Mode uint8
+		Blob          []byte
+		Weights       []float64
+	}{2, 1, []byte("wetterbericht"), make([]float64, 10)}); err != nil {
 		t.Fatal(err)
 	}
-	sys, gotSnap, err := Read(&buf)
-	if err != nil || sys != nil || gotSnap == nil {
-		t.Fatalf("sniff resolved to sys=%v snap=%v err=%v", sys != nil, gotSnap != nil, err)
-	}
-	if !completeSystem(system(t)) {
-		t.Error("completeSystem rejects a genuinely trained system")
+	sys, snap, _, err := ReadBytes(buf.Bytes())
+	if err == nil || sys != nil || snap != nil {
+		t.Fatalf("headerless snapshot gob read as sys=%v snap=%v err=%v", sys != nil, snap != nil, err)
 	}
 }
 

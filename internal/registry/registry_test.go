@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -195,32 +196,59 @@ func TestRegistryReloadRejectsProgrammaticSlot(t *testing.T) {
 	}
 }
 
-// TestRegistryLoadsLegacyHeaderlessFile: pre-header gob files work and
-// get a whole-file digest, so reload change detection still functions.
-func TestRegistryLoadsLegacyHeaderlessFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.model")
+// TestRegistryRejectsRetiredFormats: LoadFile rejects each retired
+// model format with an error naming it, and a Reload onto one fails
+// while the running version keeps serving.
+func TestRegistryRejectsRetiredFormats(t *testing.T) {
+	magic := []byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
+	filler := bytes.Repeat([]byte{0x42}, 128)
+	header := func(ver, kind byte) []byte {
+		return append(append(append([]byte(nil), magic...), ver, kind), filler...)
+	}
 	sys := trainSystem(t, 31)
-	f, err := os.Create(path)
-	if err != nil {
+	var headerless bytes.Buffer
+	if err := sys.Save(&headerless); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Save(f); err != nil {
-		t.Fatal(err)
+	retired := map[string][]byte{
+		"version-1":  header(1, 'C'),
+		"headerless": headerless.Bytes(),
+		"version-2":  header(2, 'S'),
 	}
-	f.Close()
 
+	dir := t.TempDir()
+	live := filepath.Join(dir, "live.model")
+	writeClassifierFile(t, live, sys)
 	reg := New(Options{})
 	defer reg.Close()
-	info, err := reg.LoadFile("legacy", path)
+	info, err := reg.LoadFile("m", live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Digest) != 64 {
-		t.Errorf("legacy digest = %q", info.Digest)
-	}
-	if _, changed, err := reg.Reload("legacy"); err != nil || changed {
-		t.Errorf("legacy no-op reload = (%v, %v)", changed, err)
+	u := "http://www.nachrichten-wetter.de/zeitung"
+	for format, data := range retired {
+		path := filepath.Join(dir, format+".model")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.LoadFile(format, path); err == nil || !strings.Contains(err.Error(), format) {
+			t.Errorf("LoadFile(%s) error = %v, want one naming the format", format, err)
+		}
+
+		if err := os.WriteFile(live, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, changed, err := reg.Reload("m"); err == nil || changed || !strings.Contains(err.Error(), format) {
+			t.Errorf("Reload onto %s = (%v, %v), want a rejection naming the format", format, changed, err)
+		}
+		l, err := reg.Acquire("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Info().Version != info.Version || l.Engine().Classify(u).Scores() != sys.Scores(u) {
+			t.Errorf("after a rejected %s reload the slot no longer serves version %d", format, info.Version)
+		}
+		l.Release()
 	}
 }
 

@@ -188,7 +188,7 @@ func writeSnapshotFile(t testing.TB, path string, snap *compiled.Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snap.Save(f); err != nil {
+	if err := snap.WriteFlat(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -196,13 +196,19 @@ func writeSnapshotFile(t testing.TB, path string, snap *compiled.Snapshot) {
 	}
 }
 
+// copyFile replaces dst with a copy of src by rename: the serving
+// version maps dst, and rewriting it in place would change the bytes
+// under that mapping.
 func copyFile(t testing.TB, dst, src string) {
 	t.Helper()
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
+	if err := os.WriteFile(dst+".tmp", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dst+".tmp", dst); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,36 +22,24 @@ import (
 	"urllangid/internal/obs"
 )
 
-// Predictor is the minimal classifier contract the engine needs;
-// *core.System, *compiled.Snapshot and the public urllangid types all
-// satisfy it.
+// Predictor is the scoring contract the engine serves: the five
+// per-language decision scores for a URL, in canonical language order.
+// *core.System, *compiled.Snapshot and the cascade all satisfy it.
 type Predictor interface {
-	Predictions(rawURL string) []langid.Prediction
-}
-
-// Scorer is the allocation-free fast path. When the predictor implements
-// it (core systems and compiled snapshots do), the engine skips building
-// []Prediction for every URL and moves plain score arrays around
-// instead.
-type Scorer interface {
 	Scores(rawURL string) [langid.NumLanguages]float64
 }
 
-// CacheKeyer lets a predictor declare which URLs it considers
-// equivalent. Compiled snapshots return the normalized URL so scheme and
-// percent-encoding variants share one cache entry; predictors that do
-// not implement it are cached under the raw URL, which is always sound
-// (custom features score the raw string's length, so normalizing for
-// them would change answers).
-type CacheKeyer interface {
-	CacheKey(rawURL string) string
-}
-
-// KeyScorer scores a URL already reduced to its CacheKey form, letting
-// the miss path skip re-deriving the key's normal form. Implementations
-// must guarantee ScoresForKey(CacheKey(u)) == Scores(u) for every URL.
+// KeyScorer is the one optional contract: a predictor that declares
+// which URLs it considers equivalent and scores a URL already reduced
+// to that key. Compiled snapshots key by the normalized URL, so scheme
+// and percent-encoding variants share one cache entry and the miss path
+// skips a second normalization. Predictors without it are cached under
+// the raw URL, which is always sound (custom features score the raw
+// string's length, so normalizing for them would change answers).
+// Implementations must guarantee ScoresForKey(CacheKey(u)) == Scores(u)
+// for every URL.
 type KeyScorer interface {
-	CacheKeyer
+	CacheKey(rawURL string) string
 	ScoresForKey(key string) [langid.NumLanguages]float64
 }
 
@@ -87,9 +75,7 @@ type Result struct {
 // releases it — an engine left un-Closed keeps its idle workers alive.
 type Engine struct {
 	pred      Predictor
-	scorer    Scorer     // nil when pred lacks the fast path
-	keyer     CacheKeyer // nil when pred lacks a custom key
-	keyScorer KeyScorer  // nil when pred cannot score from a key
+	keyScorer KeyScorer // nil when pred keys by the raw URL
 	cache     *lruCache
 	stats     *Stats
 	workers   int
@@ -125,8 +111,6 @@ func New(p Predictor, opts Options) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.scorer, _ = p.(Scorer)
-	e.keyer, _ = p.(CacheKeyer)
 	e.keyScorer, _ = p.(KeyScorer)
 	if e.workers > 1 {
 		// The calling goroutine always participates in its batch, so
@@ -252,7 +236,7 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		r.Result = langid.NewResult(e.score(rawURL))
+		r.Result = langid.NewResult(e.pred.Scores(rawURL))
 		if tr != nil {
 			tr.Add(obs.StageScore, time.Since(t0))
 		}
@@ -262,11 +246,11 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		return r
 	}
 	key := rawURL
-	if e.keyer != nil {
+	if e.keyScorer != nil {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		key = e.keyer.CacheKey(rawURL)
+		key = e.keyScorer.CacheKey(rawURL)
 		if tr != nil {
 			tr.Add(obs.StageNormalize, time.Since(t0))
 		}
@@ -293,7 +277,7 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		// from it directly rather than re-normalizing the raw URL.
 		scores = e.keyScorer.ScoresForKey(key)
 	} else {
-		scores = e.score(rawURL)
+		scores = e.pred.Scores(rawURL)
 	}
 	if tr != nil {
 		tr.Add(obs.StageScore, time.Since(t0))
@@ -304,13 +288,6 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		e.stats.RecordURL(time.Since(start), false)
 	}
 	return r
-}
-
-func (e *Engine) score(rawURL string) [langid.NumLanguages]float64 {
-	if e.scorer != nil {
-		return e.scorer.Scores(rawURL)
-	}
-	return langid.ScoresFromPredictions(e.pred.Predictions(rawURL))
 }
 
 // ClassifyBatch classifies urls across the worker pool, preserving input

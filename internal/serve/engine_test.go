@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,76 +222,26 @@ func TestResultHelpers(t *testing.T) {
 }
 
 // countingPredictor is a stub whose score depends on the URL and which
-// counts every Predictions call plus the exact argument it received.
+// records every Scores call's exact argument.
 type countingPredictor struct {
 	mu    sync.Mutex
 	calls []string
-	key   func(string) string // nil: no CacheKeyer
 }
 
-func (p *countingPredictor) Predictions(rawURL string) []langid.Prediction {
+func (p *countingPredictor) Scores(rawURL string) [langid.NumLanguages]float64 {
 	p.mu.Lock()
 	p.calls = append(p.calls, rawURL)
 	p.mu.Unlock()
-	var preds []langid.Prediction
-	for li := 0; li < langid.NumLanguages; li++ {
-		preds = append(preds, langid.Prediction{
-			Lang: langid.Language(li), Score: float64(len(rawURL) + li),
-		})
+	var out [langid.NumLanguages]float64
+	for li := range out {
+		out[li] = float64(len(rawURL) + li)
 	}
-	return preds
+	return out
 }
 
-// keyedPredictor adds CacheKey (but NOT ScoresForKey/Scores) on top.
-type keyedPredictor struct{ countingPredictor }
-
-func (p *keyedPredictor) CacheKey(rawURL string) string { return p.key(rawURL) }
-
-// TestEngineCacheKeyerWithoutKeyScorer pins the fallback ordering: with
-// a predictor that implements CacheKeyer but not KeyScorer, the engine
-// must key the cache by CacheKey yet score the *raw* URL through
-// Predictions — scoring the key instead would change answers for any
-// predictor whose features see the raw string.
-func TestEngineCacheKeyerWithoutKeyScorer(t *testing.T) {
-	p := &keyedPredictor{}
-	p.key = strings.ToLower
-	e := New(p, Options{CacheCapacity: 16})
-	if e.keyer == nil || e.keyScorer != nil || e.scorer != nil {
-		t.Fatalf("interface detection: keyer=%v keyScorer=%v scorer=%v",
-			e.keyer != nil, e.keyScorer != nil, e.scorer != nil)
-	}
-
-	raw := "HTTP://Example.DE/Seite"
-	first := e.Classify(raw)
-	if first.Cached {
-		t.Fatal("first classification reported cached")
-	}
-	p.mu.Lock()
-	if len(p.calls) != 1 || p.calls[0] != raw {
-		t.Fatalf("miss path scored %v, want exactly the raw URL %q", p.calls, raw)
-	}
-	p.mu.Unlock()
-
-	// A key-equivalent variant must hit the shared entry — and must NOT
-	// trigger a second scoring, even though its raw form differs.
-	variant := "http://example.de/seite"
-	second := e.Classify(variant)
-	if !second.Cached {
-		t.Error("key-equivalent variant missed the cache")
-	}
-	if second.Scores() != first.Scores() {
-		t.Error("variant served different scores than the shared entry")
-	}
-	p.mu.Lock()
-	if len(p.calls) != 1 {
-		t.Errorf("variant re-scored: calls = %v", p.calls)
-	}
-	p.mu.Unlock()
-}
-
-// TestEngineKeyScorerMissPath pins the complementary ordering: a full
-// KeyScorer predictor must have its miss path driven through
-// ScoresForKey with the key, not through Predictions with the raw URL.
+// TestEngineKeyScorerMissPath pins the miss-path ordering: a KeyScorer
+// predictor must have its miss path driven through ScoresForKey with
+// the key, not through Scores with the raw URL.
 func TestEngineKeyScorerMissPath(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{CacheCapacity: 16})
@@ -328,7 +277,7 @@ func TestClassifyBatchDeduplicates(t *testing.T) {
 		if r.URL != urls[i] {
 			t.Errorf("result %d is for %q, want %q", i, r.URL, urls[i])
 		}
-		if r.Scores() != e.score(urls[i]) {
+		if r.Scores() != e.pred.Scores(urls[i]) {
 			t.Errorf("result %d has wrong scores", i)
 		}
 		// No cache on this engine: copies must not claim to be cached.

@@ -47,32 +47,47 @@ func TestTableDense(t *testing.T) {
 	}
 }
 
-func TestFromWireRoundTrip(t *testing.T) {
+func TestFromFlatRoundTrip(t *testing.T) {
 	names := []string{"alpha", "beta", "", "gamma"} // empty names are legal
 	tab := New(names)
-	back, err := FromWire(tab.Blob(), tab.Offsets(), tab.Len())
+	back, err := FromFlat(tab.Blob(), tab.Offsets(), tab.Slots())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range names {
 		if id, ok := back.Lookup(n); !ok || id != uint32(i) {
-			t.Errorf("rebuilt Lookup(%q) = %d, %v; want %d", n, id, ok, i)
+			t.Errorf("restored Lookup(%q) = %d, %v; want %d", n, id, ok, i)
 		}
 	}
 }
 
-func TestFromWireValidation(t *testing.T) {
+// TestFromFlatValidation: every malformed layout must be caught by
+// FromFlat's shape checks or by the deferred Validate pass.
+func TestFromFlatValidation(t *testing.T) {
 	tab := New([]string{"aa", "bb", "cc"})
-	if _, err := FromWire(tab.Blob(), tab.Offsets()[:2], tab.Len()); err == nil {
+	restore := func(blob []byte, offs []uint32) error {
+		back, err := FromFlat(blob, offs, tab.Slots())
+		if err != nil {
+			return err
+		}
+		return back.Validate()
+	}
+	if restore(tab.Blob(), tab.Offsets()[:2]) == nil {
 		t.Error("short offsets accepted")
 	}
 	bad := append([]uint32(nil), tab.Offsets()...)
 	bad[1], bad[2] = bad[2]+1, bad[1]
-	if _, err := FromWire(tab.Blob(), bad, tab.Len()); err == nil {
+	if restore(tab.Blob(), bad) == nil {
 		t.Error("non-monotonic offsets accepted")
 	}
-	if _, err := FromWire(tab.Blob()[:3], tab.Offsets(), tab.Len()); err == nil {
+	if restore(tab.Blob()[:3], tab.Offsets()) == nil {
 		t.Error("truncated blob accepted")
+	}
+	if _, err := FromFlat(tab.Blob(), tab.Offsets(), tab.Slots()[:3]); err == nil {
+		t.Error("non-power-of-two slot count accepted")
 	}
 }
 

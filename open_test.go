@@ -2,29 +2,15 @@ package urllangid_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"urllangid"
-	"urllangid/internal/compiled"
-	"urllangid/internal/core"
-	"urllangid/internal/features"
 )
-
-// trainInternalSystem trains through internal/core directly, so the
-// test can write legacy (headerless) files exactly as the pre-header
-// Save paths did.
-func trainInternalSystem(t *testing.T) *core.System {
-	t.Helper()
-	sys, err := core.Train(
-		core.Config{Algo: core.NaiveBayes, Features: features.Words, Seed: 21},
-		trainSamples(t, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
 
 func TestOpenDetectsKind(t *testing.T) {
 	clf, err := urllangid.Train(urllangid.Options{Seed: 12}, trainSamples(t, 300))
@@ -56,53 +42,59 @@ func TestOpenDetectsKind(t *testing.T) {
 	}
 }
 
-// TestOpenLoadsLegacyHeaderlessFiles pins the PR 1/2 compatibility
-// promise: raw core.System and compiled.Snapshot gobs (what Save wrote
-// before the header existed) still load through Open, Load and
-// LoadSnapshot, with bit-identical classification.
-func TestOpenLoadsLegacyHeaderlessFiles(t *testing.T) {
-	sys := trainInternalSystem(t)
-	u := "http://www.nachrichten-wetter.de/zeitung"
+// retiredFormats builds one input per model format this build no
+// longer reads, each from header bytes: a version-1 container, a
+// headerless gob, and a version-2 (gob) snapshot container. The
+// payloads are filler — rejection must happen from the header alone.
+func retiredFormats() map[string][]byte {
+	magic := []byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
+	filler := bytes.Repeat([]byte{0x42}, 128)
+	header := func(ver, kind byte) []byte {
+		return append(append(append([]byte(nil), magic...), ver, kind), filler...)
+	}
+	var headerless bytes.Buffer
+	if err := gob.NewEncoder(&headerless).Encode(struct {
+		Version, Mode uint8
+		Blob          []byte
+	}{2, 1, filler}); err != nil {
+		panic(err)
+	}
+	return map[string][]byte{
+		"version-1":  header(1, 'S'),
+		"headerless": headerless.Bytes(),
+		"version-2":  header(2, 'S'),
+	}
+}
 
-	var legacyClf bytes.Buffer
-	if err := sys.Save(&legacyClf); err != nil {
-		t.Fatal(err)
-	}
-	legacyClfBytes := legacyClf.Bytes()
-	m, err := urllangid.Open(bytes.NewReader(legacyClfBytes))
-	if err != nil {
-		t.Fatalf("legacy classifier gob rejected: %v", err)
-	}
-	clf, ok := m.(*urllangid.Classifier)
-	if !ok {
-		t.Fatalf("legacy classifier file opened as %T", m)
-	}
-	if clf.Classify(u).Scores() != sys.Scores(u) {
-		t.Error("legacy classifier classifies differently after Open")
-	}
-	if _, err := urllangid.Load(bytes.NewReader(legacyClfBytes)); err != nil {
-		t.Errorf("Load rejected a legacy classifier file: %v", err)
-	}
-
-	snap := compiled.FromSystem(sys)
-	var legacySnap bytes.Buffer
-	if err := snap.Save(&legacySnap); err != nil {
-		t.Fatal(err)
-	}
-	legacySnapBytes := legacySnap.Bytes()
-	m, err = urllangid.Open(bytes.NewReader(legacySnapBytes))
-	if err != nil {
-		t.Fatalf("legacy snapshot gob rejected: %v", err)
-	}
-	pubSnap, ok := m.(*urllangid.Snapshot)
-	if !ok {
-		t.Fatalf("legacy snapshot file opened as %T", m)
-	}
-	if pubSnap.Classify(u).Scores() != snap.Scores(u) {
-		t.Error("legacy snapshot classifies differently after Open")
-	}
-	if _, err := urllangid.LoadSnapshot(bytes.NewReader(legacySnapBytes)); err != nil {
-		t.Errorf("LoadSnapshot rejected a legacy snapshot file: %v", err)
+// TestOpenRejectsRetiredFormats: every public entry point rejects the
+// retired formats with an error naming the format and the command that
+// writes a current file — never a gob decode error.
+func TestOpenRejectsRetiredFormats(t *testing.T) {
+	dir := t.TempDir()
+	for format, data := range retiredFormats() {
+		path := filepath.Join(dir, format+".model")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for entry, open := range map[string]func() error{
+			"Open":         func() error { _, err := urllangid.Open(bytes.NewReader(data)); return err },
+			"Load":         func() error { _, err := urllangid.Load(bytes.NewReader(data)); return err },
+			"LoadSnapshot": func() error { _, err := urllangid.LoadSnapshot(bytes.NewReader(data)); return err },
+			"OpenFile":     func() error { _, err := urllangid.OpenFile(path); return err },
+		} {
+			err := open()
+			if err == nil {
+				t.Fatalf("%s accepted a %s file", entry, format)
+			}
+			for _, want := range []string{format, "re-run `urllangid "} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s(%s) error %q does not mention %q", entry, format, err, want)
+				}
+			}
+			if strings.Contains(err.Error(), "gob:") {
+				t.Errorf("%s(%s) error leaks a gob error: %q", entry, format, err)
+			}
+		}
 	}
 }
 
