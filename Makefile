@@ -39,9 +39,9 @@ URLX_FUZZ := FuzzParseConsistency FuzzNormalizeInto FuzzHostAgainstNetURL
 API_SURFACE := api/urllangid.txt
 API_DISTILL := $(GO) doc -all . | awk '/^(CONSTANTS|VARIABLES|FUNCTIONS|TYPES)$$/{on=1} on && NF && substr($$0,1,4) != "    "'
 
-.PHONY: verify build fmt vet staticcheck lint vuln tools test race fuzz-smoke bench bench-json fuzz api api-check escape escape-accept
+.PHONY: verify build fmt vet staticcheck lint vuln tools test race fuzz-smoke bench bench-json fuzz api api-check escape escape-accept perfbench
 
-verify: fmt vet staticcheck lint escape build api-check test race fuzz-smoke vuln
+verify: fmt vet staticcheck lint escape build api-check test race fuzz-smoke perfbench vuln
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,13 @@ tools:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (perfbench/go.mod) built on
+# the internal packages, so `go build ./...` above never compiles it.
+# Vetting and testing it here makes a change to an internal API that
+# breaks the benchmark fail the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The whole module under the race detector — concurrency now reaches
 # beyond the original cache/pool/registry packages, so the gate no

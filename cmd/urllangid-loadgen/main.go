@@ -176,8 +176,9 @@ type report struct {
 	AllocsPerURL float64    `json:"allocs_per_url,omitempty"`
 	// ModelLoadUs is the self-hosted model's open-to-ready time in
 	// microseconds: saving the compiled snapshot as a flat v3 file and
-	// timing registry.LoadFile — mmap, directory validation, engine
-	// construction — until the slot serves. Absent in -target mode.
+	// timing registry.LoadFile — mmap, directory and payload digest
+	// checks, structural validation, engine construction — until the
+	// slot serves. Absent in -target mode.
 	ModelLoadUs float64 `json:"model_load_us,omitempty"`
 }
 

@@ -4,16 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"urllangid"
 	"urllangid/internal/cascade"
 	"urllangid/internal/datagen"
+	"urllangid/internal/modelfile"
 	"urllangid/internal/registry"
 	"urllangid/internal/serve"
 )
@@ -617,4 +620,137 @@ func TestRunRejectsBadCascades(t *testing.T) {
 		!strings.Contains(err.Error(), "collides") {
 		t.Errorf("run accepted a cascade colliding with a model name: %v", err)
 	}
+}
+
+// flipWeightsBit returns a copy of the v3 snapshot file at path with
+// one bit flipped in the middle of its weights section: the directory
+// stays intact, so only the payload digest can tell.
+func flipWeightsBit(t *testing.T, path string) []byte {
+	t.Helper()
+	info, err := modelfile.InspectFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range info.Sections {
+		if s.Name == "weights" {
+			data[s.Off+s.Len/2] ^= 0x10
+			return data
+		}
+	}
+	t.Fatalf("%s has no weights section", path)
+	return nil
+}
+
+// replaceFile swaps data in at path the way a deployment does: write
+// beside, then rename over. The old inode — which a serving version
+// may still have mapped — is never rewritten.
+func replaceFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptModelNeverServes: a v3 file with one flipped weights bit
+// is refused at startup, over the HTTP reload route and by the SIGHUP
+// loop, each naming the damaged section, and the version it would
+// have replaced keeps serving unchanged.
+func TestCorruptModelNeverServes(t *testing.T) {
+	snapA, _ := writeModelFiles(t, 17)
+	snapB, _ := writeModelFiles(t, 23)
+	const wantErr = "section weights"
+
+	bad := filepath.Join(t.TempDir(), "bad.snapshot")
+	if err := os.WriteFile(bad, flipWeightsBit(t, snapA), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var out bytes.Buffer
+		done <- run([]string{"-addr", "127.0.0.1:0", "-model", "bad=" + bad}, &out)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("run with a corrupt model = %v, want an error naming the %s", err, wantErr)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run accepted a corrupt model and started serving")
+	}
+
+	srv, reg := newRegistryServer(t, modelArg{name: "nb", path: snapA})
+	u := `{"url": "http://www.nachrichten-wetter.de/zeitung"}`
+	classify := func() string {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/classify", "application/json", strings.NewReader(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Version uint64 `json:"version"`
+			Results []struct {
+				Scores map[string]float64 `json:"scores"`
+			} `json:"results"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("classify: status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(body.Version, body.Results[0].Scores)
+	}
+	assertServing := func(when string, want string) {
+		t.Helper()
+		if got := classify(); got != want {
+			t.Errorf("%s: classify = %s, want the loaded version's %s", when, got, want)
+		}
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: GET /readyz = %d, want 200", when, resp.StatusCode)
+		}
+		if m := reg.Models(); len(m) != 1 || m[0].Version != 1 {
+			t.Errorf("%s: models = %+v, want nb at version 1", when, m)
+		}
+	}
+	before := classify()
+
+	// A different model, so the digest-skip cannot mistake it for the
+	// running one.
+	replaceFile(t, snapA, flipWeightsBit(t, snapB))
+	resp, err := http.Post(srv.URL+"/v1/models/nb/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reloadBody struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reloadBody); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK || !strings.Contains(reloadBody.Error, wantErr) {
+		t.Errorf("POST reload of a corrupt file = %d %q, want an error naming the %s", resp.StatusCode, reloadBody.Error, wantErr)
+	}
+	assertServing("after the HTTP reload", before)
+
+	var log bytes.Buffer
+	reloadAll(reg, &log)
+	if got := log.String(); !strings.Contains(got, wantErr) || !strings.Contains(got, "still serving") {
+		t.Errorf("SIGHUP reload of a corrupt file logged:\n%s", got)
+	}
+	assertServing("after the SIGHUP reload", before)
 }

@@ -275,8 +275,8 @@ func TestCmdInspect(t *testing.T) {
 
 // TestCmdInspectCorrupt pins inspect's failure modes: truncation and
 // header/directory corruption fail immediately, while payload
-// corruption beyond the metadata — invisible to the lazy open — is
-// caught by -verify.
+// corruption beyond the metadata — which plain inspect never reads —
+// is caught by -verify's open, naming the damaged section.
 func TestCmdInspectCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	path := inspectSnapshotFile(t, dir)
@@ -312,8 +312,8 @@ func TestCmdInspectCorrupt(t *testing.T) {
 	if _, err := captureStdout(t, func() error { return cmdInspect([]string{badPay}) }); err != nil {
 		t.Errorf("plain inspect rejected payload corruption it should not read: %v", err)
 	}
-	if _, err := captureStdout(t, func() error { return cmdInspect([]string{"-verify", badPay}) }); err == nil {
-		t.Error("inspect -verify accepted a corrupt payload")
+	if _, err := captureStdout(t, func() error { return cmdInspect([]string{"-verify", badPay}) }); err == nil || !strings.Contains(err.Error(), "corrupted") {
+		t.Errorf("inspect -verify on a corrupt payload = %v, want a section corruption error", err)
 	}
 }
 

@@ -27,6 +27,7 @@ package compiled
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"urllangid/internal/calib"
 	"urllangid/internal/core"
@@ -35,6 +36,7 @@ import (
 	"urllangid/internal/knn"
 	"urllangid/internal/langid"
 	"urllangid/internal/maxent"
+	"urllangid/internal/modelfile/flat"
 	"urllangid/internal/nb"
 	"urllangid/internal/ngram"
 	"urllangid/internal/relent"
@@ -98,12 +100,11 @@ type Snapshot struct {
 	// baseline backs modeTLD.
 	baseline tldbase.Classifier
 	pool     sync.Pool
-	// flat is non-nil for snapshots loaded from a v3 flat container,
-	// whose bulk arrays are views over the (possibly mapped) file bytes.
-	// It carries the backing mapping's lifetime and the once-guarded
-	// deferred verification state; see flat.go. Heap-backed snapshots
-	// leave it nil and skip the verification gate entirely.
-	flat *flatSource
+	// mapping backs a snapshot loaded from a memory-mapped v3 file,
+	// whose bulk arrays are views over the mapped bytes; Close releases
+	// it once (closed). Nil for heap-backed snapshots.
+	mapping *flat.Mapping
+	closed  atomic.Bool
 	// calib is the optional fitted margin → probability calibration
 	// (persisted as flat.SecCalib). Nil for uncalibrated models; the
 	// cascade then falls back to raw-margin thresholds.
@@ -286,7 +287,6 @@ func (s *Snapshot) CacheKey(rawURL string) string {
 //
 //urllangid:hotpath
 func (s *Snapshot) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
-	s.ensureVerified()
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
 	if s.keyedByRaw() {
@@ -335,7 +335,6 @@ func (s *Snapshot) Classify(rawURL string) langid.Result {
 //
 //urllangid:hotpath
 func (s *Snapshot) ScoresForKey(key string) [langid.NumLanguages]float64 {
-	s.ensureVerified()
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
 	return s.scoreInput(key, sc)

@@ -120,7 +120,8 @@ func (s *Snapshot) dtreeScores(dense []float32, idx []uint32, val []float32) [la
 // validate checks a deserialised tree's structural invariants: array
 // lengths, feature bounds, finite thresholds, and the preorder child
 // invariant (children strictly follow their parent), which guarantees
-// every walk terminates. Flat loads run it on first scoring touch.
+// every walk terminates. LoadFlat runs it before returning a tree
+// snapshot.
 func (t *flatTree) validate(dim int) error {
 	n := len(t.feat)
 	if n == 0 {

@@ -8,21 +8,13 @@ package compiled
 // vocabulary — which arrays go in which sections, and which invariants
 // must hold before scoring may trust them.
 //
-// Loading is two-phase, matching the container's verification contract:
-//
-//   - LoadFlat runs only O(1) work per section — shape checks, view
-//     construction — so open time is independent of model size. The
-//     metadata JSON and the dictionary token lists are the exception:
-//     they must be materialised to build the snapshot, so they are
-//     digest-verified eagerly before use.
-//   - The first scoring touch (or an explicit Verify call) runs the
-//     deferred O(model) pass once: every section payload is checked
-//     against its directory digest, and the structural invariants the
-//     hot path relies on — string-table probe reachability, tree
-//     preorder termination, kNN CSR bounds — are validated. A snapshot
-//     that fails verification panics on Classify (the only channel a
-//     hot-path method has) with the underlying corruption error;
-//     callers that want an error instead probe Verify first.
+// LoadFlat trusts the container's payloads — flat.Parse has already
+// checked every section digest — and checks what the digests cannot:
+// the structural invariants the scoring paths index by (string-table
+// probe reachability, tree preorder termination, kNN CSR bounds and
+// norms, TLD tables matching the built-in dictionaries). A snapshot it
+// returns scores without further checks; corruption is an error from
+// the open, never a panic from a score.
 //
 // The arrays a flat snapshot scores from are bit-identical to the ones
 // FromSystem compiles — same float64 values, same storage order, same
@@ -33,8 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"urllangid/internal/calib"
 	"urllangid/internal/core"
@@ -65,28 +55,8 @@ type flatMeta struct {
 	KnnK []int32 `json:"knn_k,omitempty"`
 }
 
-// flatSource ties a flat-loaded snapshot to its backing file: the
-// parsed container, the mapping whose lifetime the snapshot owns, and
-// the once-guarded deferred verification state.
-type flatSource struct {
-	file    *flat.File
-	mapping *flat.Mapping
-	once    sync.Once
-	err     error
-	// run is the once body, pre-bound at load time so the hot path's
-	// once.Do(fs.run) is a field load, not a closure allocation.
-	run    func()
-	closed atomic.Bool
-}
-
-// WriteFlat serialises the snapshot as a v3 flat container. A
-// flat-backed snapshot is fully verified first, so corruption in a
-// mapped source file cannot be laundered into a fresh file with valid
-// digests.
+// WriteFlat serialises the snapshot as a v3 flat container.
 func (s *Snapshot) WriteFlat(w io.Writer) error {
-	if err := s.Verify(); err != nil {
-		return err
-	}
 	meta := flatMeta{
 		Label:  s.Describe(),
 		Mode:   s.Mode(),
@@ -162,9 +132,8 @@ func (s *Snapshot) WriteFlat(w io.Writer) error {
 
 // LoadFlat builds a snapshot over a parsed v3 container. The serving
 // arrays are views into f's backing bytes — nothing bulk is copied or
-// decoded — so the returned snapshot is ready in microseconds
-// regardless of model size, with the O(model) digest and structural
-// verification deferred to the first scoring touch (see Verify).
+// decoded — and every structural invariant scoring relies on is checked
+// before it returns, so a corrupt file fails here with an error.
 //
 // mapping may be nil when the container bytes live on the heap (Open
 // from an io.Reader). When non-nil, the snapshot owns the caller's
@@ -173,11 +142,6 @@ func (s *Snapshot) WriteFlat(w io.Writer) error {
 func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 	if f.Kind() != 'S' {
 		return nil, fmt.Errorf("compiled: flat container kind %q is not a snapshot", f.Kind())
-	}
-	// The metadata section is materialised now, so it is the one section
-	// verified eagerly.
-	if err := f.VerifyPayload(flat.SecMeta, -1); err != nil {
-		return nil, err
 	}
 	mb, ok := f.Payload(flat.SecMeta, -1)
 	if !ok {
@@ -195,12 +159,8 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 	}
 
 	// The calibration section is optional — files written before it
-	// existed load uncalibrated. Like the metadata it is small and must
-	// be materialised (decoded) to be useful, so it is verified eagerly.
+	// existed load uncalibrated.
 	if cb, ok := f.Payload(flat.SecCalib, -1); ok {
-		if err := f.VerifyPayload(flat.SecCalib, -1); err != nil {
-			return nil, err
-		}
 		c, err := calib.Decode(cb)
 		if err != nil {
 			return nil, fmt.Errorf("compiled: decoding calibration section: %w", err)
@@ -212,8 +172,12 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 		if s.cfg.Algo.NeedsTraining() {
 			return nil, fmt.Errorf("compiled: TLD snapshot claims trainable algorithm %s", s.cfg.Algo)
 		}
+		if err := checkTLDSections(f); err != nil {
+			return nil, err
+		}
 		s.baseline = baselineFor(s.cfg.Algo)
-		return s.attachFlat(f, mapping), nil
+		s.mapping = mapping
+		return s, nil
 	}
 
 	// Feature source.
@@ -241,17 +205,12 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 		s.table = table
 	case features.Custom, features.CustomSelected:
 		// The trained dictionary cannot be consumed in place — its tokens
-		// become map keys in the streaming extractor — so this is the one
-		// model family whose load cost scales with (small) dictionary
-		// size; the sections are digest-verified eagerly because they are
-		// materialised eagerly.
+		// become map keys in the streaming extractor — so custom snapshots
+		// rebuild it on the heap at load.
 		var trained *textstat.TrainedDict
 		if meta.HasDict {
 			var tokens [langid.NumLanguages][]string
 			for li := 0; li < langid.NumLanguages; li++ {
-				if err := f.VerifyPayload(flat.SecDict, int32(li)); err != nil {
-					return nil, err
-				}
 				db, ok := f.Payload(flat.SecDict, int32(li))
 				if !ok {
 					return nil, fmt.Errorf("compiled: flat snapshot is missing its %s dictionary section", langid.Language(li))
@@ -308,6 +267,9 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 				return nil, err
 			}
 			s.trees[li] = flatTree{feat: feat, thr: thr, kids: kids}
+			if err := s.trees[li].validate(int(s.dim)); err != nil {
+				return nil, err
+			}
 		}
 	case modeKNN:
 		if len(meta.KnnK) != langid.NumLanguages {
@@ -335,126 +297,36 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 				return nil, err
 			}
 			s.refs[li] = packedRefs{rows: rows, idx: idx, val: val, pos: flat.Uint8s(pos), norm: norm, k: meta.KnnK[li]}
+			if err := s.refs[li].validate(); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return s.attachFlat(f, mapping), nil
+	s.mapping = mapping
+	return s, nil
 }
 
-// attachFlat wires the deferred-verification state onto a flat-loaded
-// snapshot.
-func (s *Snapshot) attachFlat(f *flat.File, mapping *flat.Mapping) *Snapshot {
-	fs := &flatSource{file: f, mapping: mapping}
-	fs.run = func() { fs.err = s.verifyFlat() }
-	s.flat = fs
-	return s
-}
-
-// Verify runs the deferred payload verification of a flat-loaded
-// snapshot — every section digest plus the structural invariants the
-// scoring paths rely on — and reports the result. It runs the O(model)
-// work at most once; later calls (and the hot path's implicit check)
-// return the cached verdict. Snapshots compiled in process verify
-// trivially.
-func (s *Snapshot) Verify() error {
-	fs := s.flat
-	if fs == nil {
-		return nil
-	}
-	fs.once.Do(fs.run)
-	return fs.err
-}
-
-// ensureVerified gates the scoring paths of a flat-loaded snapshot: the
-// first call pays the one-time verification pass, later calls are a
-// nil check and an atomic load. Scoring a corrupt file panics with the
-// verification error — hot-path methods return values, not errors — so
-// servers that must not crash probe Verify once at install time.
-func (s *Snapshot) ensureVerified() {
-	fs := s.flat
-	if fs == nil {
-		return
-	}
-	fs.once.Do(fs.run)
-	if fs.err != nil {
-		panic("compiled: scoring unverified flat snapshot: " + fs.err.Error()) //urllangid:ignore hotpathalloc corruption-panic path runs at most once per snapshot, never on a healthy hot path
-	}
-}
-
-// verifyFlat is the deferred verification body: all section digests,
-// then the per-mode structural invariants the scoring paths rely on.
-func (s *Snapshot) verifyFlat() error {
-	if err := s.flat.file.Verify(); err != nil {
-		return err
-	}
-	switch s.mode {
-	case modeCount, modeCountPost, modeNormalized, modeDTree, modeKNN:
-		if !s.isCustom() {
-			if err := s.table.Validate(); err != nil {
-				return fmt.Errorf("compiled: %w", err)
-			}
+// checkTLDSections checks that a TLD snapshot's persisted tables match
+// the built-in dictionaries the baseline classifies from, so the file
+// cannot claim a mapping the serving code would not honour.
+func checkTLDSections(f *flat.File) error {
+	for li := 0; li < langid.NumLanguages; li++ {
+		tb, ok := f.Payload(flat.SecTLD, int32(li))
+		if !ok {
+			return fmt.Errorf("compiled: flat snapshot is missing its %s TLD section", langid.Language(li))
 		}
-	}
-	switch s.mode {
-	case modeDTree:
-		for li := range s.trees {
-			if err := s.trees[li].validate(int(s.dim)); err != nil {
-				return err
-			}
+		got, err := flat.Strings(tb)
+		if err != nil {
+			return err
 		}
-	case modeKNN:
-		for li := range s.refs {
-			r := &s.refs[li]
-			if err := r.validate(); err != nil {
-				return err
-			}
-			if err := r.validateNorms(); err != nil {
-				return err
-			}
+		want := dict.CcTLDs(langid.Language(li))
+		if len(got) != len(want) {
+			return fmt.Errorf("compiled: %s TLD section lists %d domains, built-in table has %d", langid.Language(li), len(got), len(want))
 		}
-	case modeTLD:
-		// The persisted TLD tables must match the built-in dictionaries
-		// the baseline classifies from, so the file cannot claim a
-		// mapping the serving code would not honour.
-		for li := 0; li < langid.NumLanguages; li++ {
-			tb, ok := s.flat.file.Payload(flat.SecTLD, int32(li))
-			if !ok {
-				return fmt.Errorf("compiled: flat snapshot is missing its %s TLD section", langid.Language(li))
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("compiled: %s TLD section entry %d is %q, built-in table has %q", langid.Language(li), i, got[i], want[i])
 			}
-			got, err := flat.Strings(tb)
-			if err != nil {
-				return err
-			}
-			want := dict.CcTLDs(langid.Language(li))
-			if len(got) != len(want) {
-				return fmt.Errorf("compiled: %s TLD section lists %d domains, built-in table has %d", langid.Language(li), len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return fmt.Errorf("compiled: %s TLD section entry %d is %q, built-in table has %q", langid.Language(li), i, got[i], want[i])
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// validateNorms checks persisted norms against a recomputation over the
-// packed values — the flat format stores them so load stays O(1), and
-// this keeps a tampered norm from
-// silently changing scores. Equality is exact: the writer persisted the
-// very sum this loop re-accumulates, in the same order.
-func (r *packedRefs) validateNorms() error {
-	n := len(r.rows) - 1
-	if len(r.norm) != n {
-		return fmt.Errorf("compiled: kNN norms cover %d of %d references", len(r.norm), n)
-	}
-	for i := 0; i < n; i++ {
-		var nb float64
-		for _, v := range r.val[r.rows[i]:r.rows[i+1]] {
-			nb += float64(v) * float64(v)
-		}
-		if r.norm[i] != nb {
-			return fmt.Errorf("compiled: kNN reference %d norm %v does not match its values (%v)", i, r.norm[i], nb)
 		}
 	}
 	return nil
@@ -466,14 +338,10 @@ func (r *packedRefs) validateNorms() error {
 // owning registry version has fully drained. Heap-backed snapshots
 // close trivially; Close is idempotent.
 func (s *Snapshot) Close() error {
-	fs := s.flat
-	if fs == nil || fs.mapping == nil {
+	if s.mapping == nil || s.closed.Swap(true) {
 		return nil
 	}
-	if fs.closed.Swap(true) {
-		return nil
-	}
-	return fs.mapping.Release()
+	return s.mapping.Release()
 }
 
 // Section accessors: resolve a required section and view it with the

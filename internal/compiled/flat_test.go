@@ -2,6 +2,7 @@ package compiled
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"urllangid/internal/calib"
@@ -29,9 +30,6 @@ func TestFlatRoundTripBitIdentical(t *testing.T) {
 			}
 			fromFlat, err := LoadFlat(ff, nil)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fromFlat.Verify(); err != nil {
 				t.Fatal(err)
 			}
 			if fromFlat.Mode() != snap.Mode() || fromFlat.Describe() != snap.Describe() {
@@ -69,10 +67,11 @@ func TestFlatWriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlatCorruptPayloadCaughtByVerify pins the lazy-verification
-// contract at the snapshot layer: a flipped payload byte loads fine
-// (structure is intact) but Verify reports it before any scoring.
-func TestFlatCorruptPayloadCaughtByVerify(t *testing.T) {
+// TestFlatCorruptPayloadRejectedAtOpen pins the one verification
+// contract at the snapshot layer: a flipped payload byte fails the open
+// with an error naming the section, so no corrupt snapshot reaches
+// LoadFlat or scoring.
+func TestFlatCorruptPayloadRejectedAtOpen(t *testing.T) {
 	train, _ := corpusEnv(t)
 	snap := FromSystem(trainSystem(t, systemConfigs[0].cfg, train))
 	var buf bytes.Buffer
@@ -81,17 +80,8 @@ func TestFlatCorruptPayloadCaughtByVerify(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)-1] ^= 0xff
-	ff, err := flat.Parse(data)
-	if err != nil {
-		t.Fatalf("Parse rejected payload-only corruption: %v", err)
-	}
-	loaded, err := LoadFlat(ff, nil)
-	if err != nil {
-		// Eagerly-materialised sections may legitimately catch it at load.
-		return
-	}
-	if err := loaded.Verify(); err == nil {
-		t.Fatal("Verify passed on a corrupt payload")
+	if _, err := flat.Parse(data); err == nil || !strings.Contains(err.Error(), "corrupted: SHA-256 mismatch") {
+		t.Fatalf("Parse of a corrupt payload = %v, want a section corruption error", err)
 	}
 }
 
@@ -142,9 +132,6 @@ func TestFlatCalibrationRoundTrip(t *testing.T) {
 	if p, ok := loaded.Confidence(hi); !ok || p != cal.Prob(hi) {
 		t.Fatalf("Confidence(%v) = %v,%v; want %v,true", hi, p, ok, cal.Prob(hi))
 	}
-	if err := loaded.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	for _, u := range probes {
 		if a, b := snap.Classify(u), loaded.Classify(u); a != b {
 			t.Fatalf("%q classification drift with calibration present", u)
@@ -180,8 +167,8 @@ func TestFlatUncalibratedLoads(t *testing.T) {
 }
 
 // TestFlatCorruptCalibrationRejected ensures a tampered calibration
-// section cannot load: the eager digest check (or the decoder's
-// monotonicity validation) must catch it.
+// section cannot load: Parse's digest check must catch it and name the
+// section.
 func TestFlatCorruptCalibrationRejected(t *testing.T) {
 	train, _ := corpusEnv(t)
 	snap := FromSystem(trainSystem(t, systemConfigs[0].cfg, train))
@@ -204,11 +191,7 @@ func TestFlatCorruptCalibrationRejected(t *testing.T) {
 		t.Fatal("calibration payload not found in container bytes")
 	}
 	data[at+len(enc)-1] ^= 0xff
-	ff, err := flat.Parse(data)
-	if err != nil {
-		t.Fatalf("Parse runs lazy payload digests, should not catch this: %v", err)
-	}
-	if _, err := LoadFlat(ff, nil); err == nil {
-		t.Fatal("LoadFlat accepted a corrupt calibration section")
+	if _, err := flat.Parse(data); err == nil || !strings.Contains(err.Error(), "section calib ") {
+		t.Fatalf("Parse of a corrupt calibration section = %v, want an error naming it", err)
 	}
 }

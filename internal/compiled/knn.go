@@ -146,8 +146,8 @@ func (s *Snapshot) knnScores(qIdx []uint32, qVal []float32, sc *scratch) [langid
 // validate checks the CSR invariants scoring relies on: a well-formed
 // monotonic row array covering the index/value pair, per-row strictly
 // increasing indices (the cosine merge's precondition), one label per
-// reference, and a positive k. Flat loads run it on first scoring
-// touch.
+// reference, a positive k, and persisted norms matching the values.
+// LoadFlat runs it before returning a kNN snapshot.
 func (r *packedRefs) validate() error {
 	n := len(r.rows) - 1
 	if n < 1 || r.rows[0] != 0 {
@@ -181,6 +181,22 @@ func (r *packedRefs) validate() error {
 	for i, p := range r.pos {
 		if p > 1 {
 			return fmt.Errorf("compiled: kNN label %d is %d, want 0 or 1", i, p)
+		}
+	}
+	// The flat format stores norms so load skips recomputing them into
+	// fresh memory; this keeps a tampered norm from silently changing
+	// scores. Equality is exact: the writer persisted the very sum this
+	// loop re-accumulates, in the same order.
+	if len(r.norm) != n {
+		return fmt.Errorf("compiled: kNN norms cover %d of %d references", len(r.norm), n)
+	}
+	for i := 0; i < n; i++ {
+		var nb float64
+		for _, v := range r.val[r.rows[i]:r.rows[i+1]] {
+			nb += float64(v) * float64(v)
+		}
+		if r.norm[i] != nb {
+			return fmt.Errorf("compiled: kNN reference %d norm %v does not match its values (%v)", i, r.norm[i], nb)
 		}
 	}
 	return nil

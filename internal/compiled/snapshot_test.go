@@ -16,7 +16,6 @@ import (
 	"urllangid/internal/features"
 	"urllangid/internal/langid"
 	"urllangid/internal/modelfile/flat"
-	"urllangid/internal/strtab"
 )
 
 // corpusEnv builds a small training pool and a disjoint set of probe
@@ -175,9 +174,6 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer loaded.Close()
-			if err := loaded.Verify(); err != nil {
-				t.Fatal(err)
-			}
 			if loaded.Mode() != snap.Mode() || loaded.Describe() != snap.Describe() {
 				t.Fatalf("metadata drift: mode %q/%q describe %q/%q",
 					snap.Mode(), loaded.Mode(), snap.Describe(), loaded.Describe())
@@ -342,8 +338,8 @@ func TestSnapshotConcurrentUse(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptSnapshots writes structurally corrupt
-// snapshots with valid digests and requires LoadFlat or the deferred
-// Verify pass to reject each one before it can score.
+// snapshots with valid digests and requires LoadFlat to reject each one
+// before it can score.
 func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	train, _ := corpusEnv(t)
 	corrupt := func(name string, cfg core.Config, mutate func(*Snapshot)) {
@@ -358,40 +354,57 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Parse: %v", name, err)
 		}
-		loaded, err := LoadFlat(ff, nil)
-		if err == nil {
-			err = loaded.Verify()
-		}
-		if err == nil {
+		if _, err := LoadFlat(ff, nil); err == nil {
 			t.Errorf("accepted %s", name)
 		}
 	}
-	// table swaps in a string table over altered blob/offset arrays.
-	table := func(s *Snapshot, blob []byte, offs []uint32) {
-		tab, err := strtab.FromFlat(blob, offs, s.table.Slots())
+	// corruptSection rewrites one section of a valid file — with fresh
+	// digests — so the damage reaches LoadFlat's structural checks.
+	corruptSection := func(name string, cfg core.Config, typ uint32, mutate func([]byte) []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := FromSystem(trainSystem(t, cfg, train)).WriteFlat(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ff, err := flat.Parse(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.table = tab
+		w := flat.NewWriter(ff.Kind())
+		for _, s := range ff.Sections() {
+			p := ff.PayloadOf(s)
+			if s.Type == typ {
+				p = mutate(append([]byte(nil), p...))
+			}
+			w.Add(s.Type, s.Lang, p)
+		}
+		buf.Reset()
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if ff, err = flat.Parse(buf.Bytes()); err != nil {
+			t.Fatalf("%s: Parse: %v", name, err)
+		}
+		if _, err := LoadFlat(ff, nil); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 	linear := core.Config{Algo: core.NaiveBayes, Features: features.Words, Seed: 7}
 	corrupt("bad mode", linear, func(s *Snapshot) { s.mode = 42 })
 	corrupt("reserved mode 0", linear, func(s *Snapshot) { s.mode = 0 })
 	corrupt("out-of-range feature kind", linear, func(s *Snapshot) { s.kind = features.Kind(250) })
 	corrupt("truncated weights", linear, func(s *Snapshot) { s.weights = s.weights[:1] })
-	corrupt("offset count", linear, func(s *Snapshot) {
-		offs := s.table.Offsets()
-		table(s, s.table.Blob(), offs[:len(offs)-2])
-	})
-	corrupt("non-monotonic offsets", linear, func(s *Snapshot) {
-		offs := append([]uint32(nil), s.table.Offsets()...)
+	corruptSection("offset count", linear, flat.SecStrOffs, func(p []byte) []byte { return p[:len(p)-8] })
+	corruptSection("non-monotonic offsets", linear, flat.SecStrOffs, func(p []byte) []byte {
+		offs, err := flat.Uint32s(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append([]uint32(nil), offs...)
 		offs[1], offs[2] = offs[2]+1, offs[1]
-		table(s, s.table.Blob(), offs)
+		return flat.Uint32Bytes(offs)
 	})
-	corrupt("blob length", linear, func(s *Snapshot) {
-		blob := s.table.Blob()
-		table(s, blob[:len(blob)/2], s.table.Offsets())
-	})
+	corruptSection("blob length", linear, flat.SecStrBlob, func(p []byte) []byte { return p[:len(p)/2] })
 
 	dt := core.Config{Algo: core.DecisionTree, Features: features.CustomSelected, Seed: 7}
 	corrupt("custom dim mismatch", dt, func(s *Snapshot) { s.dim = 99 })

@@ -6,7 +6,8 @@
 // process — a v3 file is a directory of typed sections whose payloads
 // ARE the serving data structures: dense weight arrays, string-table
 // buckets, flattened trees, packed kNN rows. Opening one costs a
-// directory walk; the page cache shares the bytes across processes.
+// directory walk and one hash pass over the payloads — no decoding, no
+// copy — and the page cache shares the bytes across processes.
 //
 // # Layout
 //
@@ -44,12 +45,12 @@
 //
 // # Verification contract
 //
-// Parse validates the header and the complete directory eagerly: magic,
-// version, digest, entry bounds, alignment, overlap. It does NOT touch
-// payload bytes; callers verify those lazily — per section as they
-// materialise one (VerifyPayload), or all at once on first scoring
-// touch (Verify). Until a payload is verified its bytes must be treated
-// as untrusted: view them, but do not index derived structures by them.
+// Parse checks everything before it returns: magic, version, the
+// directory against the header digest, entry bounds, alignment,
+// overlap, and every payload against its directory digest. A *File is
+// trusted; nothing downstream re-checks its bytes. Hashing the payloads
+// is the one O(model) step of opening a file — the typed views
+// themselves stay zero-copy.
 package flat
 
 import (
@@ -202,11 +203,11 @@ type File struct {
 	digest [32]byte
 }
 
-// Parse validates data's header and directory and returns the parsed
-// file. It is the eager half of the verification contract: after Parse
-// every section's bounds, alignment and disjointness are known good and
-// the directory matches the header digest, but payload bytes are still
-// unverified (see File.Verify / File.VerifyPayload).
+// Parse validates data's header, directory and payloads and returns the
+// parsed file: after Parse every section's bounds, alignment and
+// disjointness are known good, the directory matches the header digest,
+// and every payload matches its directory digest. A corrupt payload
+// fails with an error naming its section.
 func Parse(data []byte) (*File, error) {
 	if len(data) < HeaderSize {
 		return nil, fmt.Errorf("flat: file is %d bytes, shorter than the %d-byte header", len(data), HeaderSize)
@@ -224,7 +225,14 @@ func Parse(data []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{data: data, kind: kind, secs: secs, digest: digest}, nil
+	f := &File{data: data, kind: kind, secs: secs, digest: digest}
+	for _, s := range secs {
+		if got := sha256.Sum256(f.PayloadOf(s)); got != s.Digest {
+			return nil, fmt.Errorf("flat: section %s (lang %d) corrupted: SHA-256 mismatch (directory claims %.12s…, payload is %.12s…)",
+				SectionName(s.Type), s.Lang, hex.EncodeToString(s.Digest[:]), hex.EncodeToString(got[:]))
+		}
+	}
+	return f, nil
 }
 
 // ReadIndex reads and validates the header and directory from a
@@ -356,10 +364,9 @@ func (f *File) PayloadBytes() int64 {
 
 // Payload returns the raw payload bytes of the (typ, lang) section, or
 // false when the file carries no such section. The bytes alias the
-// backing data (possibly a live mapping): callers must not modify them,
-// and — per the verification contract — must digest-verify the section
-// before trusting values read from it. Prefer the typed view helpers
-// (Float64s, Uint32s, Strings, …) over slicing the raw bytes.
+// backing data (possibly a live mapping): callers must not modify them.
+// Prefer the typed view helpers (Float64s, Uint32s, Strings, …) over
+// slicing the raw bytes.
 func (f *File) Payload(typ uint32, lang int32) ([]byte, bool) {
 	for _, s := range f.secs {
 		if s.Type == typ && s.Lang == lang {
@@ -370,46 +377,9 @@ func (f *File) Payload(typ uint32, lang int32) ([]byte, bool) {
 }
 
 // PayloadOf returns s's raw payload bytes; s must come from this file's
-// Sections. The same aliasing and verification caveats as Payload
-// apply.
+// Sections. The same aliasing caveat as Payload applies.
 func (f *File) PayloadOf(s Section) []byte {
 	return f.data[s.Off : s.Off+s.Len : s.Off+s.Len]
-}
-
-// VerifyPayload digest-verifies the (typ, lang) section's payload
-// bytes. Sections a loader materialises eagerly (metadata, dictionary
-// token lists) are verified through this before use.
-func (f *File) VerifyPayload(typ uint32, lang int32) error {
-	for i, s := range f.secs {
-		if s.Type == typ && s.Lang == lang {
-			return f.verifySection(i)
-		}
-	}
-	return fmt.Errorf("flat: no %s section (lang %d)", SectionName(typ), lang)
-}
-
-// verifySection digest-verifies section i.
-func (f *File) verifySection(i int) error {
-	s := f.secs[i]
-	if got := sha256.Sum256(f.PayloadOf(s)); got != s.Digest {
-		return fmt.Errorf("flat: section %s (lang %d) corrupted: SHA-256 mismatch (directory claims %.12s…, payload is %.12s…)",
-			SectionName(s.Type), s.Lang, hex.EncodeToString(s.Digest[:]), hex.EncodeToString(got[:]))
-	}
-	return nil
-}
-
-// Verify digest-verifies every section payload against the directory.
-// This is the lazy half of the verification contract: loaders call it
-// once on first scoring touch (or eagerly via an explicit Verify API),
-// after which every byte the views expose is known to match the
-// directory the model digest covers.
-func (f *File) Verify() error {
-	for i := range f.secs {
-		if err := f.verifySection(i); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // alignUp rounds n up to the next Align boundary.

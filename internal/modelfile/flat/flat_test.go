@@ -55,9 +55,6 @@ func TestRoundTrip(t *testing.T) {
 	if len(f.Sections()) != 3 {
 		t.Fatalf("sections = %d", len(f.Sections()))
 	}
-	if err := f.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	if got := f.PayloadBytes(); got != 16+40+int64(len(StringsBytes([]string{"bonjour", "salut", ""}))) {
 		t.Errorf("payload bytes = %d", got)
 	}
@@ -224,27 +221,15 @@ func TestParseRejections(t *testing.T) {
 	}
 }
 
-// TestLazyPayloadVerification pins the contract split: payload
-// corruption passes Parse untouched and is caught by VerifyPayload /
-// Verify.
-func TestLazyPayloadVerification(t *testing.T) {
+// TestParseRejectsCorruptPayload pins the verification contract: Parse
+// checks every payload against its directory digest, so a flipped
+// payload byte fails the parse with an error naming the section.
+func TestParseRejectsCorruptPayload(t *testing.T) {
 	data := buildContainer(t)
 	data[len(data)-1] ^= 0xff // last byte of the last payload
-	f, err := Parse(data)
-	if err != nil {
-		t.Fatalf("Parse rejected payload corruption it must not read: %v", err)
-	}
-	if err := f.VerifyPayload(SecMeta, -1); err != nil {
-		t.Errorf("intact section failed verification: %v", err)
-	}
-	if err := f.VerifyPayload(SecDict, 2); err == nil {
-		t.Error("corrupt section passed verification")
-	}
-	if err := f.Verify(); err == nil {
-		t.Error("Verify passed with a corrupt payload")
-	}
-	if err := f.VerifyPayload(SecTLD, 0); err == nil {
-		t.Error("VerifyPayload invented a missing section")
+	_, err := Parse(data)
+	if err == nil || !strings.Contains(err.Error(), "section dict (lang 2) corrupted") {
+		t.Fatalf("Parse of a corrupt payload = %v, want an error naming the dict section", err)
 	}
 }
 
@@ -261,11 +246,7 @@ func TestMapPath(t *testing.T) {
 	if !bytes.Equal(m.Bytes(), data) {
 		t.Error("mapped bytes differ from the file")
 	}
-	f, err := Parse(m.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Verify(); err != nil {
+	if _, err := Parse(m.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	m.Retain()

@@ -16,9 +16,10 @@
 //     section layout implemented in the nested flat package: a
 //     validated section directory with per-section SHA-256 digests over
 //     typed little-endian payloads that serving consumes as views in
-//     place. OpenPath maps such a file instead of reading it, which
-//     makes open time independent of model size and lets the page
-//     cache share one copy of the weights across processes.
+//     place. OpenPath maps such a file instead of reading it: open
+//     hashes each payload once against its digest but decodes and
+//     copies nothing, and the page cache shares one copy of the
+//     weights across processes.
 //
 // Retired formats — headerless gobs from before the header existed,
 // version-1 containers and version-2 snapshot containers — are
@@ -453,8 +454,9 @@ type OpenedModel struct {
 // OpenPath opens the model file at path through the cheapest route its
 // container allows: v3 snapshot files are memory-mapped (read fallback
 // where mmap is unavailable) and their snapshot views the mapping in
-// place — open cost independent of model size — while v2 classifier
-// files are read and decoded. The caller owns the returned snapshot's
+// place — no decode, no copy, one digest pass — while v2 classifier
+// files are read and decoded. Either way a damaged file fails here with
+// an error naming the damage. The caller owns the returned snapshot's
 // backing mapping via Snapshot.Close.
 func OpenPath(path string) (*OpenedModel, error) {
 	f, err := os.Open(path)

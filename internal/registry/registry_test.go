@@ -13,6 +13,7 @@ import (
 	"urllangid/internal/datagen"
 	"urllangid/internal/features"
 	"urllangid/internal/modelfile"
+	"urllangid/internal/modelfile/flat"
 	"urllangid/internal/serve"
 )
 
@@ -197,8 +198,9 @@ func TestRegistryReloadRejectsProgrammaticSlot(t *testing.T) {
 }
 
 // TestRegistryRejectsRetiredFormats: LoadFile rejects each retired
-// model format with an error naming it, and a Reload onto one fails
-// while the running version keeps serving.
+// model format — and a v3 snapshot with one flipped weights bit — with
+// an error naming it, and a Reload onto one fails while the running
+// version keeps serving.
 func TestRegistryRejectsRetiredFormats(t *testing.T) {
 	magic := []byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
 	filler := bytes.Repeat([]byte{0x42}, 128)
@@ -210,10 +212,24 @@ func TestRegistryRejectsRetiredFormats(t *testing.T) {
 	if err := sys.Save(&headerless); err != nil {
 		t.Fatal(err)
 	}
+	var flipped bytes.Buffer
+	if err := modelfile.WriteSnapshot(&flipped, compiled.FromSystem(sys)); err != nil {
+		t.Fatal(err)
+	}
+	ff, err := flat.Parse(flipped.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ff.Sections() {
+		if s.Type == flat.SecWeights {
+			flipped.Bytes()[s.Off+s.Len/2] ^= 0x10
+		}
+	}
 	retired := map[string][]byte{
 		"version-1":  header(1, 'C'),
 		"headerless": headerless.Bytes(),
 		"version-2":  header(2, 'S'),
+		"weights":    flipped.Bytes(),
 	}
 
 	dir := t.TempDir()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -86,30 +87,38 @@ func TestHTTPMetricsExposition(t *testing.T) {
 // pattern must surface in per-path metrics after one request.
 func TestHTTPMetricsCoverEveryRoute(t *testing.T) {
 	srv, _ := newTestServer(t, Options{CacheCapacity: 64})
-
-	postJSON(t, srv.URL+"/v1/classify", map[string]string{"url": "http://a.example/x"}).Body.Close()
-	resp, err := http.Post(srv.URL+"/v1/stream", "application/x-ndjson",
-		strings.NewReader("http://b.example/y\n"))
-	if err != nil {
-		t.Fatal(err)
+	do := func(method, path, contentType, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	resp.Body.Close()
-	http.Get(srv.URL + "/v1/models")
-	http.Get(srv.URL + "/v1/models/default/stats")
+	do(http.MethodPost, "/v1/classify", "application/json", `{"url":"http://a.example/x"}`)
+	do(http.MethodPost, "/v1/stream", "application/x-ndjson", "http://b.example/y\n")
+	do(http.MethodGet, "/v1/models", "", "")
+	do(http.MethodGet, "/v1/models/default/stats", "", "")
 	// Static models have no backing file: reload answers 409, and the
 	// error must be counted under its real status code.
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/models/default/reload", nil)
-	if resp, err = http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	http.Get(srv.URL + "/healthz")
-	http.Get(srv.URL + "/readyz")
-	http.Get(srv.URL + "/stats")
-	http.Get(srv.URL + "/metrics")
+	do(http.MethodPost, "/v1/models/default/reload", "", "")
+	do(http.MethodGet, "/healthz", "", "")
+	do(http.MethodGet, "/readyz", "", "")
+	do(http.MethodGet, "/stats", "", "")
+	do(http.MethodGet, "/metrics", "", "")
 
-	body, _, _ := getText(t, srv.URL+"/metrics")
-	for _, want := range []string{
+	// The route wrapper counts a request after its response is
+	// written, so a client can see a response before its counter: poll
+	// until every route has been counted.
+	want := []string{
 		`{path="/v1/classify",code="200"}`,
 		`{path="/v1/stream",code="200"}`,
 		`{path="/v1/models",code="200"}`,
@@ -119,9 +128,40 @@ func TestHTTPMetricsCoverEveryRoute(t *testing.T) {
 		`{path="/readyz",code="200"}`,
 		`{path="/stats",code="200"}`,
 		`{path="/metrics",code="200"}`,
-	} {
-		if !strings.Contains(body, "urllangid_http_requests_total"+want+" 1") {
-			t.Errorf("/metrics missing request counter %s", want)
+	}
+	counts := map[string]int{}
+	deadline := time.Now().Add(5 * time.Second)
+	scrapes := 1
+	for ; ; scrapes++ {
+		body, _, _ := getText(t, srv.URL+"/metrics")
+		clear(counts)
+		for _, line := range strings.Split(body, "\n") {
+			for _, labels := range want {
+				if v, ok := strings.CutPrefix(line, "urllangid_http_requests_total"+labels+" "); ok {
+					n, err := strconv.Atoi(v)
+					if err != nil {
+						t.Fatalf("counter %s has value %q", labels, v)
+					}
+					counts[labels] = n
+				}
+			}
+		}
+		if len(counts) == len(want) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d scrapes /metrics counts only %v of the routes %v", scrapes, counts, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, labels := range want {
+		// Every scrape before the last is itself a /metrics request.
+		lo, hi := 1, 1
+		if labels == `{path="/metrics",code="200"}` {
+			hi = scrapes
+		}
+		if n := counts[labels]; n < lo || n > hi {
+			t.Errorf("request counter %s = %d, want %d..%d", labels, n, lo, hi)
 		}
 	}
 }

@@ -100,11 +100,11 @@ func (t *Table) Slots() []uint32 { return t.slots }
 
 // FromFlat restores a table over persisted blob/offset/slot storage —
 // typically views into a mapped model file — without copying or
-// rebuilding anything. Only O(1) shape checks run here, keeping model
-// open time independent of vocabulary size; the O(n) structural checks
-// live in Validate, which flat loaders run on first scoring touch
-// alongside payload digest verification. Until Validate has passed,
-// Lookup on the table is unsafe.
+// rebuilding anything. It checks the layout before returning: bucket
+// shape, monotonic offsets ending at the blob length, every slot either
+// empty or naming a real entry, and every entry reachable from its own
+// slot. A table it returns answers Lookup exactly as a rebuilt table
+// would.
 func FromFlat(blob []byte, offs, slots []uint32) (Table, error) {
 	n := len(offs) - 1
 	if len(offs) == 0 {
@@ -125,26 +125,24 @@ func FromFlat(blob []byte, offs, slots []uint32) (Table, error) {
 	if len(slots) < 2*n {
 		return Table{}, fmt.Errorf("strtab: %d slots for %d entries exceeds the 50%% load bound", len(slots), n)
 	}
-	return Table{mask: uint32(len(slots) - 1), blob: blob, offs: offs, slots: slots}, nil
+	t := Table{mask: uint32(len(slots) - 1), blob: blob, offs: offs, slots: slots}
+	if err := t.validate(); err != nil {
+		return Table{}, err
+	}
+	return t, nil
 }
 
-// Validate runs the O(n) structural checks FromFlat deferred: monotonic
-// offsets ending at the blob length, every slot either empty or naming
-// a real entry, and every entry reachable from its own slot — after
-// which Lookup can probe the persisted buckets safely and with exactly
-// the answers a rebuilt table would give.
-func (t *Table) Validate() error {
+// validate runs FromFlat's O(n) structural checks over a non-empty
+// table whose bucket shape is already known good.
+func (t *Table) validate() error {
 	n := t.Len()
 	for i := 1; i < len(t.offs); i++ {
 		if t.offs[i] < t.offs[i-1] {
 			return fmt.Errorf("strtab: table offsets not monotonic at %d", i)
 		}
 	}
-	if n > 0 && int(t.offs[n]) != len(t.blob) {
+	if int(t.offs[n]) != len(t.blob) {
 		return fmt.Errorf("strtab: table blob has %d bytes, offsets claim %d", len(t.blob), t.offs[n])
-	}
-	if n == 0 {
-		return nil
 	}
 	filled := 0
 	for i, sl := range t.slots {

@@ -54,9 +54,6 @@ func TestFromFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	for i, n := range names {
 		if id, ok := back.Lookup(n); !ok || id != uint32(i) {
 			t.Errorf("restored Lookup(%q) = %d, %v; want %d", n, id, ok, i)
@@ -64,16 +61,13 @@ func TestFromFlatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromFlatValidation: every malformed layout must be caught by
-// FromFlat's shape checks or by the deferred Validate pass.
+// TestFromFlatValidation: every malformed layout must be rejected by
+// FromFlat itself.
 func TestFromFlatValidation(t *testing.T) {
 	tab := New([]string{"aa", "bb", "cc"})
 	restore := func(blob []byte, offs []uint32) error {
-		back, err := FromFlat(blob, offs, tab.Slots())
-		if err != nil {
-			return err
-		}
-		return back.Validate()
+		_, err := FromFlat(blob, offs, tab.Slots())
+		return err
 	}
 	if restore(tab.Blob(), tab.Offsets()[:2]) == nil {
 		t.Error("short offsets accepted")

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"urllangid"
+	"urllangid/internal/modelfile/flat"
 )
 
 func TestOpenDetectsKind(t *testing.T) {
@@ -94,6 +95,91 @@ func TestOpenRejectsRetiredFormats(t *testing.T) {
 			if strings.Contains(err.Error(), "gob:") {
 				t.Errorf("%s(%s) error leaks a gob error: %q", entry, format, err)
 			}
+		}
+	}
+}
+
+// TestOpenRejectsCorruptPayload: one flipped bit in any payload section
+// of a v3 file fails every public open — Open, LoadSnapshot, OpenFile,
+// Registry.Load and Registry.Reload — with an error naming the section,
+// and a rejected Reload leaves the loaded version serving.
+func TestOpenRejectsCorruptPayload(t *testing.T) {
+	save := func(seed uint64) []byte {
+		t.Helper()
+		clf, err := urllangid.Train(urllangid.Options{Seed: seed}, trainSamples(t, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := clf.Compile().Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dir := t.TempDir()
+	live := filepath.Join(dir, "live.snapshot")
+	if err := os.WriteFile(live, save(12), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := urllangid.NewRegistry(urllangid.RegistryOptions{})
+	defer reg.Close()
+	info, err := reg.Load("m", live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const u = "http://www.nachrichten-wetter.de/zeitung"
+	want, err := reg.Classify("m", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Corrupt a different model than the one serving, so Reload's
+	// digest skip cannot take it for the running file.
+	other := save(13)
+	ff, err := flat.Parse(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ff.Sections() {
+		if s.Len == 0 {
+			continue
+		}
+		name := flat.SectionName(s.Type)
+		data := append([]byte(nil), other...)
+		data[s.Off+s.Len/2] ^= 0x10
+		path := filepath.Join(dir, fmt.Sprintf("%s-%d.snapshot", name, s.Lang))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Reload runs last: it renames the corrupt file over the live
+		// one, as a deployment swaps files, so the serving version's
+		// mapped inode stays untouched.
+		for _, e := range []struct {
+			entry string
+			open  func() error
+		}{
+			{"Open", func() error { _, err := urllangid.Open(bytes.NewReader(data)); return err }},
+			{"LoadSnapshot", func() error { _, err := urllangid.LoadSnapshot(bytes.NewReader(data)); return err }},
+			{"OpenFile", func() error { _, err := urllangid.OpenFile(path); return err }},
+			{"Registry.Load", func() error { _, err := reg.Load("bad", path); return err }},
+			{"Registry.Reload", func() error {
+				if err := os.Rename(path, live); err != nil {
+					t.Fatal(err)
+				}
+				_, _, err := reg.Reload("m")
+				return err
+			}},
+		} {
+			if err := e.open(); err == nil || !strings.Contains(err.Error(), "section "+name+" ") {
+				t.Errorf("%s with a flipped %s bit = %v, want an error naming the section", e.entry, name, err)
+			}
+		}
+		got, err := reg.Classify("m", u)
+		if err != nil || got != want {
+			t.Errorf("after a rejected %s reload: Classify = %v, %v; want the loaded version's %v", name, got, err, want)
+		}
+		if m := reg.Models(); len(m) != 1 || m[0].Version != info.Version {
+			t.Errorf("after a rejected %s reload: models = %+v, want m at version %d", name, m, info.Version)
 		}
 	}
 }

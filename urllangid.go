@@ -355,7 +355,9 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 // version-2 trained classifier. Retired formats — headerless gobs,
 // version-1 containers and version-2 snapshot containers — fail from
 // their header with an error naming the format and the command that
-// writes a current file ("urllangid compile" for snapshots).
+// writes a current file ("urllangid compile" for snapshots). A damaged
+// file — a payload that no longer matches its digest, or a structure
+// scoring could not index safely — fails here too, naming the damage.
 func Open(r io.Reader) (Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -373,16 +375,15 @@ func Open(r io.Reader) (Model, error) {
 
 // OpenFile opens the model file at path through the cheapest route its
 // container allows. Snapshot files are memory-mapped and served
-// zero-copy: open cost is independent of model size (microseconds, not
-// proportional to megabytes), payload integrity is digest-verified
-// lazily on the first classification, and the snapshot views the
-// mapping in place until Close. Classifier files load exactly as Open
-// loads them, and retired formats fail as they do for Open.
+// zero-copy: open decodes nothing, hashes each payload section once
+// against its digest, checks the structures scoring relies on, and the
+// snapshot then views the mapping in place until Close. A corrupt file
+// fails here with an error naming the damaged section; a Snapshot that
+// opens never fails later. Classifier files load exactly as Open loads
+// them, and retired formats fail as they do for Open.
 //
 // A Snapshot returned by OpenFile must be Closed after last use to
 // release its mapping; Close on a non-mapped model is a free no-op.
-// Callers that must not risk a corruption panic on the serving path can
-// probe Verify once after opening.
 func OpenFile(path string) (Model, error) {
 	om, err := modelfile.OpenPath(path)
 	if err != nil {
@@ -416,22 +417,10 @@ func (s *Snapshot) Describe() string { return s.snap.Describe() }
 
 // Save serialises the snapshot in the self-describing model file
 // format — the flat version-3 container, which OpenFile can later
-// memory-map for a microsecond cold start; Open and LoadSnapshot read
-// it back too.
+// memory-map and serve in place without decoding; Open and LoadSnapshot
+// read it back too.
 func (s *Snapshot) Save(w io.Writer) error {
 	if err := modelfile.WriteSnapshot(w, s.snap); err != nil {
-		return fmt.Errorf("urllangid: %w", err)
-	}
-	return nil
-}
-
-// Verify checks the integrity of a memory-mapped snapshot — payload
-// digests and structural invariants — returning the error a corrupt
-// file would otherwise surface as a panic on the first classification.
-// It runs the check once; later calls return the cached result. For
-// snapshots that are not file-mapped it is a free no-op.
-func (s *Snapshot) Verify() error {
-	if err := s.snap.Verify(); err != nil {
 		return fmt.Errorf("urllangid: %w", err)
 	}
 	return nil
